@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -22,13 +22,15 @@ from .core import (
     ParameterSet,
     Representation,
     StructureTensor,
-    UnsupportedDomainError,
     X,
     _TableBuilder,
+    _add_so_brackets,
+    bracket,
     is_exact,
-    metric,
     rational_sqrt,
+    structure_constants,
 )
+from .linalg import inertia
 
 
 def adjoint_representation(t):
@@ -65,11 +67,6 @@ def killing_det(K):
     if isinstance(K, np.ndarray):
         return float(np.linalg.det(K))
     return linalg.det_exact(K)
-
-
-def inertia(K, tol=1e-9):
-    """Sylvester inertia of a symmetric form (exact or float)."""
-    return linalg.inertia(K, tol=tol)
 
 
 def semisimplicity_indicator(params):
@@ -121,6 +118,7 @@ def classify(params, tol=1e-9):
 
 SO6_PAIRS = tuple((a, b) for a, b in combinations(range(6), 2))
 _SO6_INDEX = {pair: k for k, pair in enumerate(SO6_PAIRS)}
+SO6_NAMES = tuple("J%d%d" % p for p in SO6_PAIRS)
 
 
 def so6_index(a, b):
@@ -132,31 +130,9 @@ def so_structure_constants(eta_diag):
 
     [J_AB, J_CD] = i(eta_BC J_AD - eta_AC J_BD + eta_AD J_BC - eta_BD J_AC)
     """
-
-    def eta(a, b):
-        return eta_diag[a] if a == b else 0
-
     tb = _TableBuilder()
-
-    def add_term(r, s, coef, m, n):
-        if coef == 0 or m == n:
-            return
-        if m < n:
-            tb.add(r, s, so6_index(m, n), coef)
-        else:
-            tb.add(r, s, so6_index(n, m), -coef)
-
-    for pa, pb in combinations(SO6_PAIRS, 2):
-        (a, b), (c, d) = pa, pb
-        r, s = so6_index(a, b), so6_index(c, d)
-        add_term(r, s, eta(b, c), a, d)
-        add_term(r, s, -eta(a, c), b, d)
-        add_term(r, s, eta(a, d), b, c)
-        add_term(r, s, -eta(b, d), a, c)
-
-    exact = is_exact(*eta_diag)
-    names = tuple("J%d%d" % p for p in SO6_PAIRS)
-    return StructureTensor(len(SO6_PAIRS), tb.finish(), exact, names=names)
+    _add_so_brackets(tb, SO6_PAIRS, so6_index, eta_diag)
+    return StructureTensor(len(SO6_PAIRS), tb.finish(), is_exact(*eta_diag), names=SO6_NAMES)
 
 
 @lru_cache(maxsize=None)
@@ -176,13 +152,15 @@ class Embedding:
 
     ``basis_map`` rows give J_AB (in SO6_PAIRS order) as combinations of
     the 15 algebra generators; ``six_metric`` is the diagonal 6-metric.
+    ``deviation`` is the self-check residual found at construction.
     """
 
     six_metric: tuple
-    basis_map: object  # 15x15, nested Fractions (exact) or ndarray (float)
+    basis_map: object  # 15x15 nested list of Fractions (exact) or floats
     s_matrix: object  # the 2x2 congruence transform of the (p, x) Gram
     params: ParameterSet
     exact: bool
+    deviation: object = field(init=False, default=None)
 
     def basis_map_array(self):
         return np.array([[float(v) for v in row] for row in self.basis_map])
@@ -261,7 +239,7 @@ def pseudo_orthogonal_embedding(params, tol=1e-9):
             basis_map[r][ID] = -det_s
 
     emb = Embedding(six_metric, basis_map, ((a4, a5), (b4, b5)), params, exact)
-    dev = embedding_deviation(emb)
+    emb.deviation = dev = embedding_deviation(emb)
     limit = 0 if exact else tol
     if dev > limit:
         raise InternalConsistencyError(
@@ -276,72 +254,53 @@ def pseudo_orthogonal_embedding(params, tol=1e-9):
     return emb
 
 
-def transform_structure_constants(t, basis_map, exact):
-    """Structure constants in the new basis J_r = sum_a B[r][a] T_a."""
-    n = t.dim
-    if not exact:
-        B = np.array([[float(v) for v in row] for row in basis_map])
-        Binv = np.linalg.inv(B)
-        D = t.dense()
-        return np.einsum("pa,qb,cab,cr->rpq", B, B, D, Binv)
-    B = [[Fraction(v) for v in row] for row in basis_map]
-    Binv = _invert_exact(B)
-    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]  # [r][p][q]
-    for (a, b), row in t.table.items():
-        for c, v in row.items():
-            for p in range(n):
-                Bpa = B[p][a]
-                if Bpa == 0:
-                    continue
-                for q in range(n):
-                    w = Bpa * B[q][b] * v
-                    if w == 0:
-                        continue
-                    for r in range(n):
-                        if Binv[c][r] != 0:
-                            out[r][p][q] += w * Binv[c][r]
-    return out
+def inverse_basis_map(emb):
+    """Rows of the inverse basis map: generator a is sum_r inv[a][r] J_r.
 
-
-def _invert_exact(mat):
-    n = len(mat)
-    m = [[Fraction(v) for v in row] for row in mat]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise InvalidInputError("basis map is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = Fraction(1) / m[col][col]
-        m[col] = [v * scale for v in m[col]]
-        inv[col] = [v * scale for v in inv[col]]
-        for r in range(n):
-            if r == col or m[r][col] == 0:
-                continue
-            factor = m[r][col]
-            m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-            inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
+    The basis map is the identity on F, S^T on each (p_i, x_i) pair and
+    -det S on I, so with S = ((a4, a5), (b4, b5)) its inverse is, in closed
+    form, p_i = (b5 J_i4 - b4 J_i5)/det S, x_i = (a4 J_i5 - a5 J_i4)/det S
+    and I = -J_45/det S.
+    """
+    (a4, a5), (b4, b5) = emb.s_matrix
+    det_s = a4 * b5 - a5 * b4
+    inv = [None] * DIM
+    for i, j in F_PAIRS:
+        inv[F(i, j)] = {so6_index(i, j): 1}
+    for i in range(4):
+        j4, j5 = so6_index(i, 4), so6_index(i, 5)
+        inv[P(i)] = {j4: b5 / det_s, j5: -b4 / det_s}
+        inv[X(i)] = {j4: -a5 / det_s, j5: a4 / det_s}
+    inv[ID] = {so6_index(4, 5): -1 / det_s}
     return inv
+
+
+def transform_structure_constants(t, emb):
+    """Structure constants in the embedding's basis J_r = sum_a B[r][a] T_a.
+
+    [J_p, J_q]/i is the bracket of two basis-map rows, taken back to the J
+    basis through the closed-form inverse; exact and float share this path.
+    """
+    rows, inv = emb.basis_map, inverse_basis_map(emb)
+    tb = _TableBuilder()
+    for p, q in combinations(range(DIM), 2):
+        for a, v in enumerate(bracket(rows[p], rows[q], t)):
+            if v:
+                for r, w in inv[a].items():
+                    tb.add(p, q, r, v * w)
+    return StructureTensor(DIM, tb.finish(), t.exact, names=SO6_NAMES)
 
 
 def embedding_deviation(emb):
     """Max |transformed - canonical| structure constant for the embedding."""
-    from .core import structure_constants
-
-    t = structure_constants(emb.params)
+    got = transform_structure_constants(structure_constants(emb.params), emb)
     canon = so_structure_constants(emb.six_metric)
-    if emb.exact:
-        got = transform_structure_constants(t, emb.basis_map, True)
-        worst = Fraction(0)
-        for p in range(DIM):
-            for q in range(DIM):
-                row = canon.table.get((p, q), {})
-                for r in range(DIM):
-                    dev = abs(got[r][p][q] - row.get(r, 0))
-                    if dev > worst:
-                        worst = dev
-        return worst
-    got = transform_structure_constants(t, emb.basis_map, False)
-    # got is [r][p][q]; the dense canonical tensor is [c][a][b], same roles
-    return float(np.max(np.abs(got - canon.dense())))
+    zero = Fraction(0) if emb.exact else 0.0
+    worst = zero
+    for key in got.table.keys() | canon.table.keys():
+        row, ref = got.table.get(key, {}), canon.table.get(key, {})
+        for c in row.keys() | ref.keys():
+            dev = abs(row.get(c, zero) - ref.get(c, zero))
+            if dev > worst:
+                worst = dev
+    return worst

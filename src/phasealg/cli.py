@@ -6,7 +6,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,6 @@ from . import casimir, pheno, spinor
 from .classify import (
     adjoint_representation,
     classify as classify_point,
-    embedding_deviation,
     inertia as form_inertia,
     killing_det,
     killing_form,
@@ -232,7 +230,8 @@ def build_parser():
     p_scan.add_argument("--kappa", required=True, metavar="START:STOP:STEPS")
     p_scan.add_argument("--lambda2", required=True, metavar="START:STOP:STEPS")
     p_scan.add_argument("--mu2", required=True, metavar="START:STOP:STEPS")
-    p_scan.add_argument("--threads", type=int, default=1)
+    p_scan.add_argument("--threads", type=int, default=1,
+                        help="has no effect; scans run in one thread")
     return parser
 
 
@@ -270,11 +269,10 @@ def _cmd_killing(args, out):
 def _cmd_embed(args, out):
     params = _params_from_args(args)
     emb = pseudo_orthogonal_embedding(params, tol=args.tol)
-    dev = embedding_deviation(emb)
     rec = {
         "class": str(classify_point(params, tol=args.tol)),
         "six_metric": ",".join(_fmt(e) for e in emb.six_metric),
-        "deviation": dev,
+        "deviation": emb.deviation,
         "s00": emb.s_matrix[0][0],
         "s01": emb.s_matrix[0][1],
         "s10": emb.s_matrix[1][0],
@@ -378,11 +376,7 @@ def _cmd_scan(args, out):
         for l2 in grids[1]
         for m2 in grids[2]
     ]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            records = list(pool.map(lambda p: _scan_record(p, args.tol), points))
-    else:
-        records = [_scan_record(p, args.tol) for p in points]
+    records = [_scan_record(p, args.tol) for p in points]
     _emit(records, args.format, out, columns=list(SCAN_COLUMNS))
 
 

@@ -174,14 +174,6 @@ class StructureTensor:
         """Coefficients of [T_a, T_b]/i as a sparse dict."""
         return dict(self.table.get((a, b), {}))
 
-    def dense(self):
-        """Dense float array D with D[c, a, b] = f^c_{ab}."""
-        out = np.zeros((self.dim, self.dim, self.dim))
-        for (a, b), row in self.table.items():
-            for c, v in row.items():
-                out[c, a, b] = float(v)
-        return out
-
     def perturbed(self, a, b, c, delta):
         """Copy with f^c_{ab} shifted by delta (antisymmetric partner too)."""
         table = {k: dict(row) for k, row in self.table.items()}
@@ -214,14 +206,32 @@ class _TableBuilder:
         return table
 
 
-def _add_f_term(tb, a, b, coef, m, n):
-    # coef * F_mn with F_nm = -F_mn and F_mm = 0
+def _add_pair_term(tb, index, a, b, coef, m, n):
+    # coef * J_mn with J_nm = -J_mn and J_mm = 0; index(m, n) numbers J_mn
     if m == n or coef == 0:
         return
     if m < n:
-        tb.add(a, b, F(m, n), coef)
+        tb.add(a, b, index(m, n), coef)
     else:
-        tb.add(a, b, F(n, m), -coef)
+        tb.add(a, b, index(n, m), -coef)
+
+
+def _add_so_brackets(tb, pairs, index, eta_diag):
+    """Add [J_ab, J_cd] = i(eta_bc J_ad - eta_ac J_bd + eta_ad J_bc - eta_bd J_ac)
+    for every two index pairs, for a diagonal metric eta_diag.
+
+    Builds the Lorentz sector of the deformed algebra and canonical so(p,q).
+    """
+
+    def eta(m, n):
+        return eta_diag[m] if m == n else 0
+
+    for (a, b), (c, d) in combinations(pairs, 2):
+        r, s = index(a, b), index(c, d)
+        _add_pair_term(tb, index, r, s, eta(b, c), a, d)
+        _add_pair_term(tb, index, r, s, -eta(a, c), b, d)
+        _add_pair_term(tb, index, r, s, eta(a, d), b, c)
+        _add_pair_term(tb, index, r, s, -eta(b, d), a, c)
 
 
 def structure_constants(params):
@@ -243,13 +253,7 @@ def structure_constants(params):
     tb = _TableBuilder()
 
     # Lorentz sector
-    for a_pair, b_pair in combinations(F_PAIRS, 2):
-        (i, j), (kk, ll) = a_pair, b_pair
-        a, b = F(i, j), F(kk, ll)
-        _add_f_term(tb, a, b, metric(j, kk), i, ll)
-        _add_f_term(tb, a, b, -metric(i, kk), j, ll)
-        _add_f_term(tb, a, b, metric(i, ll), j, kk)
-        _add_f_term(tb, a, b, -metric(j, ll), i, kk)
+    _add_so_brackets(tb, F_PAIRS, F, METRIC_DIAG)
 
     # vector transformation of p and x under F
     for i, j in F_PAIRS:
@@ -266,7 +270,7 @@ def structure_constants(params):
     for i in range(4):
         for j in range(4):
             tb.add(P(i), X(j), ID, metric(i, j))
-            _add_f_term(tb, P(i), X(j), k, i, j)
+            _add_pair_term(tb, F, P(i), X(j), k, i, j)
     for i in range(4):
         tb.add(P(i), ID, X(i), m2)
         tb.add(P(i), ID, P(i), -k)
@@ -296,10 +300,10 @@ def bracket(a, b, t):
     out = [zero] * t.dim
     for (ga, gb), row in t.table.items():
         ca = a[ga]
-        if ca == 0:
+        if not ca:
             continue
         cb = b[gb]
-        if cb == 0:
+        if not cb:
             continue
         w = ca * cb
         for c, v in row.items():

@@ -104,9 +104,8 @@ def inertia_float(mat, tol=1e-9):
     return Inertia(pos, neg, len(w) - pos - neg)
 
 
-def inertia(mat, exact=None, tol=1e-9):
-    if exact is None:
-        exact = not isinstance(mat, np.ndarray)
-    if exact:
-        return inertia_exact(mat)
-    return inertia_float(mat, tol)
+def inertia(mat, tol=1e-9):
+    """Sylvester inertia: eigenvalues for an ndarray, exact congruence otherwise."""
+    if isinstance(mat, np.ndarray):
+        return inertia_float(mat, tol)
+    return inertia_exact(mat)

@@ -1,6 +1,7 @@
 """Tests for the Killing form, inertia, classification and embedding."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -13,10 +14,12 @@ from phasealg.classify import (
     classify,
     embedding_deviation,
     inertia,
+    inverse_basis_map,
     killing_det,
     killing_form,
     pseudo_orthogonal_embedding,
     semisimplicity_indicator,
+    so6_index,
     so_structure_constants,
 )
 from phasealg.core import (
@@ -37,6 +40,23 @@ CLASS_INERTIA = {"SO(2,4)": (8, 7, 0), "SO(1,5)": (5, 10, 0), "SO(3,3)": (9, 6, 
 
 def ps(k, l2, m2):
     return ParameterSet(Fr(k), Fr(l2), Fr(m2))
+
+
+# rational Gram normalizers with an off-diagonal S; and a float point
+EXACT_EMBED_POINT = ps(Fr(1, 2), Fr(5, 4), 1)
+FLOAT_EMBED_POINT = ParameterSet(1.0, 1.0, 0.5)
+
+
+def _flip_metric_entry(emb):
+    eta = list(emb.six_metric)
+    eta[4] = -eta[4]
+    return replace(emb, six_metric=tuple(eta))
+
+
+def _double_basis_row(emb):
+    r = so6_index(0, 4)
+    rows = [[2 * v for v in row] if k == r else row for k, row in enumerate(emb.basis_map)]
+    return replace(emb, basis_map=rows)
 
 
 class TestAdjoint:
@@ -248,3 +268,27 @@ class TestEmbedding:
     def test_zero_mu_sq_pivot_case(self):
         emb = pseudo_orthogonal_embedding(ParameterSet(1.0, 2.0, 0.0))
         assert embedding_deviation(emb) < 1e-9
+
+    @pytest.mark.parametrize("corrupt", [_flip_metric_entry, _double_basis_row])
+    def test_self_check_rejects_wrong_embedding(self, corrupt):
+        exact = pseudo_orthogonal_embedding(EXACT_EMBED_POINT)
+        assert exact.exact
+        assert embedding_deviation(corrupt(exact)) > 0
+        flt = pseudo_orthogonal_embedding(FLOAT_EMBED_POINT)
+        assert embedding_deviation(corrupt(flt)) > 1e-9
+
+    def test_stored_deviation_is_the_self_check(self):
+        exact = pseudo_orthogonal_embedding(EXACT_EMBED_POINT)
+        assert isinstance(exact.deviation, Fr)
+        assert exact.deviation == embedding_deviation(exact) == 0
+        flt = pseudo_orthogonal_embedding(FLOAT_EMBED_POINT)
+        assert flt.deviation == embedding_deviation(flt)
+
+    def test_inverse_basis_map_is_exact_inverse(self):
+        emb = pseudo_orthogonal_embedding(EXACT_EMBED_POINT)
+        assert emb.s_matrix[0][1] != 0
+        inv = inverse_basis_map(emb)
+        for r, row in enumerate(emb.basis_map):
+            for s in range(DIM):
+                entry = sum(row[a] * inv[a].get(s, 0) for a in range(DIM))
+                assert entry == (1 if r == s else 0)

@@ -122,6 +122,16 @@ class TestOtherCommands:
         assert obj["six_metric"] == "1,-1,-1,-1,-1,-1"
         assert obj["deviation"] <= 1e-9
 
+    def test_embed_exact_prints_rationals(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "embed", "--exact", "--format", "json", "--kappa", "0",
+            "--lambda2", "1", "--mu2", "1",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["deviation"] == "0"
+        assert [obj[k] for k in ("s00", "s01", "s10", "s11")] == ["1", "0", "0", "1"]
+
     def test_embed_degenerate_exit_one(self, capsys):
         code, _, err = run_cli(
             capsys, "embed", "--kappa", "1", "--lambda2", "1", "--mu2", "1"
