@@ -115,89 +115,67 @@ def casimir_k2(rep, params, tol=1e-9):
 
 def _embedded_generators(rep, emb):
     """J_AB matrices (SO6_PAIRS order) in the representation, via the embedding."""
-    B = emb.basis_map_array()
-    dim = next(iter(rep.mats.values())).shape[0]
-    Js = []
-    for r in range(15):
-        m = np.zeros((dim, dim), dtype=complex)
-        for a in range(15):
-            if B[r, a] != 0:
-                m += B[r, a] * rep.mats[a]
-        Js.append(m)
-    return Js
+    return [sum(float(v) * rep.mats[a] for a, v in enumerate(row) if v)
+            for row in emb.basis_map]
 
 
-def _raised_pair(Js, eta, A, B):
-    """J^{AB} with both indices raised; antisymmetric in (A, B)."""
-    if A == B:
-        return None
-    sign = eta[A] * eta[B]
-    if A < B:
-        return sign * Js[so6_index(A, B)]
-    return -sign * Js[so6_index(B, A)]
+def _pair_table():
+    """The 90 signed terms of G_AB = eps_ABCDEF J^{CD} J^{EF}.
+
+    Row AB (SO6_PAIRS order) holds the 6 ordered pairs (CD, EF) of pairs
+    that split the complement of AB, with coefficient 4 eps_ABCDEF: each
+    stands for the 4 orderings C<->D, E<->F of its indices.
+    """
+    eps = levi_civita6()
+    cd, ef, coef = [], [], []
+    for A, B in SO6_PAIRS:
+        rest = [k for k in range(6) if k not in (A, B)]
+        for C, D in combinations(rest, 2):
+            E, Fi = (k for k in rest if k not in (C, D))
+            cd.append(so6_index(C, D))
+            ef.append(so6_index(E, Fi))
+            coef.append(4.0 * eps[A, B, C, D, E, Fi])
+    return np.array(cd), np.array(ef), np.array(coef)[:, None, None]
+
+
+_PAIR_CD, _PAIR_EF, _PAIR_COEF = _pair_table()
+
+
+def _contract(Js, eta):
+    """(eta_A eta_B, J^{AB}, G_AB), each stacked in SO6_PAIRS order."""
+    sign = np.array([eta[A] * eta[B] for A, B in SO6_PAIRS], dtype=float)[:, None, None]
+    Ju = sign * np.array(Js)
+    terms = _PAIR_COEF * (Ju[_PAIR_CD] @ Ju[_PAIR_EF])
+    return sign, Ju, terms.reshape(len(SO6_PAIRS), -1, *Ju.shape[1:]).sum(axis=1)
 
 
 def epsilon_pair_contraction(Js, eta):
-    """G_AB = eps_ABCDEF J^{CD} J^{EF}, symmetrized over the two factors.
+    """G_AB = eps_ABCDEF J^{CD} J^{EF}, summed over all C, D, E, F.
 
-    Returns the 6x6 antisymmetric array of matrices (entries for A < B;
-    the rest follow by antisymmetry).  G_AB is a tensor operator, not an
-    invariant: its components do not commute with the algebra.
+    Each G_AB is the sum of the 6 signed products in its row of the pair
+    table.  Swapping the two factors is an even permutation of eps, so the
+    sum is already symmetric in them; no explicit symmetrisation is needed.
+    Returns {(A, B): matrix} for A < B; the rest follow by antisymmetry.
+    G_AB is a tensor operator, not an invariant: its components do not
+    commute with the algebra.
     """
-    dim = Js[0].shape[0]
-    G = {}
-    for A, B in SO6_PAIRS:
-        rest = [k for k in range(6) if k not in (A, B)]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for perm in permutations(rest):
-            C, D, E, Fi = perm
-            sign = _perm_sign((A, B) + perm)
-            j1 = _raised_pair(Js, eta, C, D)
-            j2 = _raised_pair(Js, eta, E, Fi)
-            acc += sign * 0.5 * (j1 @ j2 + j2 @ j1)
-        G[(A, B)] = acc
-    return G
-
-
-def _perm_sign(seq):
-    sign = 1
-    for i, j in combinations(range(len(seq)), 2):
-        if seq[i] > seq[j]:
-            sign = -sign
-    return sign
+    return dict(zip(SO6_PAIRS, _contract(Js, eta)[2]))
 
 
 def casimir_eps(rep, emb, kind, tol=1e-9):
     """The epsilon-contracted invariants on the embedded J_AB basis.
 
-    kind="K1": eps_ABCDEF J^{AB} J^{CD} J^{EF}, fully symmetrized over the
-    three factors.  kind="K3": G_AB G^{AB} with G the pair contraction.
+    kind="K1": eps_ABCDEF J^{AB} J^{CD} J^{EF} = 2 sum_{A<B} J^{AB} G_AB.
+    kind="K3": G_AB G^{AB} = 2 sum_{A<B} eta_A eta_B G_AB G_AB.
+    G comes from the pair table (see epsilon_pair_contraction).  Reordering
+    the three factors of K1 permutes index pairs, an even permutation of
+    eps, so K1 is already symmetric in them.
     """
     if kind not in ("K1", "K3"):
         raise InvalidInputError("kind must be 'K1' or 'K3'")
-    eta = emb.six_metric
-    Js = _embedded_generators(rep, emb)
-    dim = Js[0].shape[0]
-    if kind == "K1":
-        C = np.zeros((dim, dim), dtype=complex)
-        for perm in permutations(range(6)):
-            sign = _perm_sign(perm)
-            A, B, Cc, D, E, Fi = perm
-            f1 = _raised_pair(Js, eta, A, B)
-            f2 = _raised_pair(Js, eta, Cc, D)
-            f3 = _raised_pair(Js, eta, E, Fi)
-            acc = np.zeros((dim, dim), dtype=complex)
-            for o1, o2, o3 in permutations((f1, f2, f3)):
-                acc += o1 @ o2 @ o3
-            C += sign / 6.0 * acc
-        return _report(C, rep, tol)
-    G = epsilon_pair_contraction(Js, eta)
-    C = np.zeros((dim, dim), dtype=complex)
-    for A, B in SO6_PAIRS:
-        g = G[(A, B)]
-        # full double sum = 2 * sum over A < B with both indices raised
-        C += 2.0 * eta[A] * eta[B] * (g @ g)
-    return _report(C, rep, tol)
+    sign, Ju, G = _contract(_embedded_generators(rep, emb), emb.six_metric)
+    C = Ju @ G if kind == "K1" else sign * (G @ G)
+    return _report(2.0 * C.sum(axis=0), rep, tol)
 
 
 def kgf_check(rep, params, tol=1e-9):

@@ -22,6 +22,7 @@ from .core import (
     ParameterSet,
     Representation,
     StructureTensor,
+    UnsupportedDomainError,
     X,
     _TableBuilder,
     _add_so_brackets,
@@ -162,9 +163,6 @@ class Embedding:
     exact: bool
     deviation: object = field(init=False, default=None)
 
-    def basis_map_array(self):
-        return np.array([[float(v) for v in row] for row in self.basis_map])
-
 
 def _diagonalize_gram(params, exact):
     """Columns c4, c5 with c^T Q c = diag(sigma4, sigma5), sigma in {+1,-1}."""
@@ -221,6 +219,12 @@ def pseudo_orthogonal_embedding(params, tol=1e-9):
     cols, sigmas = res
     (a4, b4), (a5, b5) = cols
     det_s = a4 * b5 - a5 * b4
+    if not exact and not (det_s and math.isfinite(det_s)):
+        # the normaliser overflowed: the columns collapse to 0 or inf
+        raise UnsupportedDomainError(
+            "embedding normaliser overflows floats at kappa=%r, lambda2=%r, mu2=%r"
+            % (params.kappa, params.lambda_sq, params.mu_sq)
+        )
     eps = tuple(-s for s in sigmas)
     six_metric = (1, -1, -1, -1) + eps
 

@@ -7,6 +7,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,7 +100,8 @@ def _fmt(value):
         else:
             return repr(value)
     if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15:
+        # inf and nan fail the magnitude test and print as inf, -inf, nan
+        if abs(value) < 1e15 and value == int(value):
             return str(int(value))
         return repr(value)
     return str(value)
@@ -188,7 +190,9 @@ def _scan_record(params, tol):
     return {c: rec[c] for c in SCAN_COLUMNS}
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once; parse_args leaves it unchanged."""
     parser = _Parser(prog="phasealg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,7 +13,7 @@ from phasealg.casimir import (
     levi_civita6,
     quadratic_casimir_matrix,
 )
-from phasealg.classify import adjoint_representation, pseudo_orthogonal_embedding
+from phasealg.classify import SO6_PAIRS, adjoint_representation, pseudo_orthogonal_embedding
 from phasealg.core import (
     F,
     F_PAIRS,
@@ -29,6 +29,10 @@ from phasealg.core import (
     structure_constants,
 )
 from phasealg.spinor import spinor_momentum_rep
+
+
+def assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def adjoint_at(*vals):
@@ -151,6 +155,44 @@ class TestEpsilonCasimirs:
         emb = pseudo_orthogonal_embedding(params)
         with pytest.raises(InvalidInputError):
             casimir_eps(rep, emb, "K2")
+
+
+class TestEpsilonCasimirsAgainstLeviCivita:
+    """Entrywise comparison with a dense contraction over levi_civita6().
+
+    K1 vanishes identically on the adjoint, so 15 seeded random complex
+    4x4 matrices (not a representation) stand in for the generators: they
+    let a wrong sign or factor in the pair table show."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        mats = {a: rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for a in range(15)}
+        self.rep = Representation(dim=4, mats=mats)
+        self.emb = pseudo_orthogonal_embedding(ParameterSet(0.5, 1.25, 1.0))
+        self.eta = self.emb.six_metric
+        self.Js = _embedded_generators(self.rep, self.emb)
+        # J^{AB} for all A, B, antisymmetric
+        self.T = np.zeros((6, 6, 4, 4), dtype=complex)
+        for (A, B), J in zip(SO6_PAIRS, self.Js):
+            self.T[A, B] = self.eta[A] * self.eta[B] * J
+            self.T[B, A] = -self.T[A, B]
+        self.G = np.einsum("abcdef,cdij,efjk->abik", levi_civita6(), self.T, self.T)
+
+    def test_pair_contraction(self):
+        G = epsilon_pair_contraction(self.Js, self.eta)
+        assert set(G) == set(SO6_PAIRS)
+        for A, B in SO6_PAIRS:
+            assert_close(G[(A, B)], self.G[A, B])
+
+    def test_k1(self):
+        want = np.einsum("abij,abjk->ik", self.T, self.G)
+        assert np.max(np.abs(want)) > 1
+        assert_close(casimir_eps(self.rep, self.emb, "K1").matrix, want)
+
+    def test_k3(self):
+        eta = np.array(self.eta, dtype=float)
+        want = np.einsum("a,b,abij,abjk->ik", eta, eta, self.G, self.G)
+        assert_close(casimir_eps(self.rep, self.emb, "K3").matrix, want)
 
 
 class TestKgfCheck:

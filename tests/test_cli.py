@@ -235,3 +235,31 @@ class TestExitCodes:
 
     def test_missing_params(self, capsys):
         assert run_cli(capsys, "classify")[0] == 1
+
+    def test_parser_built_once(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        first = run_cli(capsys, "nonsense")
+        assert run_cli(capsys, "nonsense") == first
+
+
+class TestOverflow:
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
+    def test_non_finite_float_printed_as_inf(self, capsys):
+        """det K overflows to -inf at kappa = 1e70; csv and table print it
+        the way json reports the same value, not a traceback."""
+        point = ("--kappa", "1e70", "--lambda2", "1", "--mu2", "1")
+        code, out, _ = run_cli(capsys, "classify", *point, "--format", "csv")
+        assert code == 0
+        assert ",1e+70,1,1,-inf," in out  # kappa, lambda_sq, mu_sq, det_killing
+        code, out, _ = run_cli(capsys, "killing", *point, "--format", "table")
+        assert code == 0
+        assert "det_killing = -inf\n" in out
+
+    @pytest.mark.parametrize("kappa,lambda2,mu2", [("1e155", "1e155", "1"), ("1", "1e308", "1e308")])
+    def test_embed_normaliser_overflow_exit_one(self, capsys, kappa, lambda2, mu2):
+        code, out, err = run_cli(
+            capsys, "embed", "--kappa", kappa, "--lambda2", lambda2, "--mu2", mu2
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "kappa=%r" % float(kappa) in err
