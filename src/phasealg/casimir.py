@@ -64,7 +64,7 @@ def _report(C, rep, tol):
 def _validate_rep(rep, params, tol):
     t = structure_constants(params)
     res = representation_residual(rep, t)
-    if res > max(tol, 1e-8):
+    if not (res <= max(tol, 1e-8)):
         raise InvalidInputError(
             "representation does not satisfy the bracket relations for these "
             "parameters (residual %g)" % res

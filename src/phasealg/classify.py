@@ -49,16 +49,24 @@ def killing_form(t):
     The sign is that of the real Lie algebra, so compact directions come
     out negative: rotations like F(1,2) have negative diagonal entries,
     boosts like F(0,1) positive ones.
+
+    The entries f^d_{bc} are indexed once per call by (c, d), so each stored
+    f^c_{ad} meets only the b it contracts with.  For each (a, b) the
+    products are added in table order of (a, d) and c, as a scan over all b
+    would add them, so the float form is bitwise reproducible.
     """
     n = t.dim
     zero = Fraction(0) if t.exact else 0.0
     K = [[zero] * n for _ in range(n)]
+    by_cd = {}
+    for (b, c), row in t.table.items():
+        for d, v2 in row.items():
+            by_cd.setdefault((c, d), []).append((b, v2))
     for (a, d), row in t.table.items():
+        Ka = K[a]
         for c, v1 in row.items():
-            for b in range(n):
-                v2 = t.table.get((b, c), {}).get(d)
-                if v2 is not None:
-                    K[a][b] += v1 * v2
+            for b, v2 in by_cd.get((c, d), ()):
+                Ka[b] += v1 * v2
     if not t.exact:
         return np.array(K, dtype=float)
     return K
@@ -93,11 +101,6 @@ class AlgebraClass:
         if self.degenerate:
             return "Degenerate(%s)" % (self.reason or "")
         return self.tag
-
-
-def deformation_gram(params):
-    """The 2x2 symmetric Gram matrix [[mu^2, kappa], [kappa, lambda^2]]."""
-    return ((params.mu_sq, params.kappa), (params.kappa, params.lambda_sq))
 
 
 def classify(params, tol=1e-9):
@@ -245,7 +248,7 @@ def pseudo_orthogonal_embedding(params, tol=1e-9):
     emb = Embedding(six_metric, basis_map, ((a4, a5), (b4, b5)), params, exact)
     emb.deviation = dev = embedding_deviation(emb)
     limit = 0 if exact else tol
-    if dev > limit:
+    if not (dev <= limit):
         raise InternalConsistencyError(
             "embedding does not reproduce canonical constants (deviation %r)" % dev
         )

@@ -185,11 +185,6 @@ def _point_record(params, tol):
     }
 
 
-def _scan_record(params, tol):
-    rec = _point_record(params, tol)
-    return {c: rec[c] for c in SCAN_COLUMNS}
-
-
 @lru_cache(maxsize=None)
 def build_parser():
     """The argument parser, built once; parse_args leaves it unchanged."""
@@ -258,15 +253,8 @@ def _cmd_classify(args, out):
 
 
 def _cmd_killing(args, out):
-    params = _params_from_args(args)
-    K = killing_form(structure_constants(params))
-    sig = form_inertia(K, tol=args.tol)
-    rec = {
-        "det_killing": killing_det(K),
-        "sig_pos": sig.n_pos,
-        "sig_neg": sig.n_neg,
-        "sig_zero": sig.n_zero,
-    }
+    rec = _point_record(_params_from_args(args), args.tol)
+    rec = {c: rec[c] for c in ("det_killing", "sig_pos", "sig_neg", "sig_zero")}
     _emit([rec], args.format, out, columns=list(rec), single=rec)
 
 
@@ -380,7 +368,8 @@ def _cmd_scan(args, out):
         for l2 in grids[1]
         for m2 in grids[2]
     ]
-    records = [_scan_record(p, args.tol) for p in points]
+    records = [{c: rec[c] for c in SCAN_COLUMNS}
+               for rec in (_point_record(p, args.tol) for p in points)]
     _emit(records, args.format, out, columns=list(SCAN_COLUMNS))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -234,8 +235,8 @@ def _add_so_brackets(tb, pairs, index, eta_diag):
         _add_pair_term(tb, index, r, s, -eta(b, d), a, c)
 
 
-def structure_constants(params):
-    """Structure constants of the deformed algebra at the given parameters.
+def _build_table(k, l2, m2):
+    """The bracket table at (kappa, lambda^2, mu^2), built term by term.
 
     Bracket table:
       [F_ij, F_kl] = i(g_jk F_il - g_ik F_jl + g_il F_jk - g_jl F_ik)
@@ -247,9 +248,6 @@ def structure_constants(params):
       [p_i, I]     = i(mu^2 x_i - kappa p_i)
       [x_i, I]     = i(kappa x_i - lambda^2 p_i)
     """
-    if not isinstance(params, ParameterSet):
-        params = ParameterSet(*params)
-    k, l2, m2 = params.kappa, params.lambda_sq, params.mu_sq
     tb = _TableBuilder()
 
     # Lorentz sector
@@ -276,8 +274,48 @@ def structure_constants(params):
         tb.add(P(i), ID, P(i), -k)
         tb.add(X(i), ID, X(i), k)
         tb.add(X(i), ID, P(i), -l2)
+    return tb.finish()
 
-    return StructureTensor(DIM, tb.finish(), params.exact, params=params,
+
+@lru_cache(maxsize=None)
+def _affine_template():
+    """The table as slots (i, coef) and entries (key, c, slot): f^c_key is
+    the single term coef * theta_i (the builder adds each entry once; the
+    unpacking below fails otherwise), read from the builder at the origin
+    and the unit points.  Entries follow the builder's order at (1, 1, 1),
+    where none vanishes, so dropping zeros reproduces it at every point.
+    """
+    base, *units = (_build_table(*p) for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    slots, entries = [], []
+    for key, row in _build_table(1, 1, 1).items():
+        for c in row:
+            b = base.get(key, {}).get(c, 0)
+            coefs = [b] + [u.get(key, {}).get(c, 0) - b for u in units]
+            (term,) = [(i, coef) for i, coef in enumerate(coefs) if coef]
+            if term not in slots:
+                slots.append(term)
+            entries.append((key, c, slots.index(term)))
+    return tuple(slots), tuple(entries)
+
+
+def structure_constants(params):
+    """Structure constants of the deformed algebra at the given parameters.
+
+    The table (see _build_table) is affine in theta = (1, kappa, lambda^2,
+    mu^2) and is evaluated from a template built once from the builder.
+    Zero entries (0.0 and -0.0 too) and empty rows are dropped, as the
+    builder drops them.
+    """
+    if not isinstance(params, ParameterSet):
+        params = ParameterSet(*params)
+    slots, entries = _affine_template()
+    theta = (1, params.kappa, params.lambda_sq, params.mu_sq)
+    vals = [coef * theta[i] for i, coef in slots]
+    table = {}
+    for key, c, s in entries:
+        if vals[s]:
+            table.setdefault(key, {})[c] = vals[s]
+    return StructureTensor(DIM, table, params.exact, params=params,
                            names=GENERATOR_NAMES)
 
 
@@ -362,7 +400,7 @@ class Representation:
 def representation_residual(rep, t):
     """Max deviation of [rho_a, rho_b] - i sum f^c_{ab} rho_c over present pairs."""
     idxs = sorted(rep.mats)
-    worst = 0.0
+    devs = [0.0]
     for a, b in combinations(idxs, 2):
         ma, mb = rep.mats[a], rep.mats[b]
         comm = ma @ mb - mb @ ma
@@ -372,5 +410,5 @@ def representation_residual(rep, t):
                     return math.inf
                 continue
             comm = comm - 1j * float(v) * rep.mats[c]
-        worst = max(worst, float(np.max(np.abs(comm))))
-    return worst
+        devs.append(np.max(np.abs(comm)))
+    return float(np.max(devs))  # a nan deviation (overflow) stays nan here

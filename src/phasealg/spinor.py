@@ -96,7 +96,7 @@ def spinor_momentum_rep(mu_sq, tol=1e-12):
     params = ParameterSet(0, 0, mu_sq)
     rep = Representation(dim=4, mats=mats, params=params, hermitian_momenta=hermitian)
     res = representation_residual(rep, structure_constants(params))
-    if res > tol:
+    if not (res <= tol):
         raise InternalConsistencyError(
             "spinor momentum representation failed its bracket check (%g)" % res
         )
@@ -127,14 +127,14 @@ def robertson(rep, psi, a, b, tol=1e-9):
     """
     psi = np.asarray(psi, dtype=complex)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol:
+    if not (abs(norm - 1.0) <= tol):
         raise InvalidInputError("state must be normalized (norm %g)" % norm)
     ops = []
     for idx in (a, b):
         if idx not in rep.mats:
             raise InvalidInputError("generator %r not realized in this representation" % idx)
         op = rep.mats[idx]
-        if float(np.max(np.abs(op - op.conj().T))) > tol:
+        if not (float(np.max(np.abs(op - op.conj().T))) <= tol):
             raise InvalidInputError(
                 "generator %r is not Hermitian in this representation; the "
                 "Robertson relation does not apply" % idx

@@ -30,6 +30,7 @@ from phasealg.core import (
     P,
     ParameterSet,
     UnitsParams,
+    UnsupportedDomainError,
     convert_units,
     jacobi_residual,
     structure_constants,
@@ -96,6 +97,116 @@ class TestKillingForm:
     def test_symmetric(self):
         K = killing_form(structure_constants(ParameterSet(0.3, -1.5, 2.0)))
         assert np.max(np.abs(K - K.T)) == 0
+
+
+def _naive_killing(t):
+    """K_ab = sum_c sum_d f^c_{ad} f^d_{bc} over a dense copy of the table
+    (terms with f^c_{ad} = 0 skipped)."""
+    n = t.dim
+    f = [[[t.coeff(a, b, c) for c in range(n)] for b in range(n)] for a in range(n)]
+    nz = [[(c, d, f[a][d][c]) for c in range(n) for d in range(n) if f[a][d][c]]
+          for a in range(n)]
+    return [[sum(v * f[b][c][d] for c, d, v in nz[a]) for b in range(n)] for a in range(n)]
+
+
+class TestKillingContraction:
+    def test_matches_naive_contraction_exact(self):
+        rng = random.Random(17)
+        for k in range(50):
+            t = structure_constants(ps(*(Fr(rng.randint(-9, 9), rng.randint(1, 6))
+                                         for _ in range(3))))
+            if k % 2:  # a table that is no Lie algebra: no structure to lean on
+                a, b, c = rng.sample(range(DIM), 3)
+                t = t.perturbed(a, b, c, Fr(rng.randint(1, 5), 3))
+            assert killing_form(t) == _naive_killing(t)
+
+    def test_matches_naive_contraction_float(self):
+        rng = random.Random(18)
+        for k in range(50):
+            t = structure_constants(ParameterSet(
+                *(rng.choice([0.0, rng.uniform(-3, 3), rng.uniform(-1e3, 1e3)]) for _ in range(3))))
+            if k % 2:
+                a, b, c = rng.sample(range(DIM), 3)
+                t = t.perturbed(a, b, c, rng.uniform(-2, 2))
+            K, ref = killing_form(t), np.array(_naive_killing(t), dtype=float)
+            assert np.max(np.abs(K - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def _leibniz_det(M):
+    """Sum over permutations s of sign(s) prod_i M[i][s(i)], built row by
+    row and pruned at zero entries."""
+
+    def expand(i, cols):
+        if i == len(M):
+            return 1
+        return sum((-1) ** k * M[i][j] * expand(i + 1, cols[:k] + cols[k + 1:])
+                   for k, j in enumerate(cols) if M[i][j])
+
+    return expand(0, list(range(len(M))))
+
+
+def _permuted_block_matrix(rng, symmetric):
+    """A random symmetric permutation of a block-diagonal rational matrix of
+    size 1-8 with sparse blocks of size 1-4, some of them singular; returns
+    the matrix and its blocks.  A non-symmetric block is tied together by a
+    cycle i -> i + 1 whose entries M[i][i + 1] have no transposed partner."""
+
+    def nonzero():
+        return Fr(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3))
+
+    n = rng.randint(1, 8)
+    blocks = []
+    while sum(map(len, blocks)) < n:
+        s = rng.randint(1, min(4, n - sum(map(len, blocks))))
+        B = [[nonzero() if i == j or rng.random() < 0.4 else Fr(0) for j in range(s)]
+             for i in range(s)]
+        if symmetric:
+            B = [[B[min(i, j)][max(i, j)] for j in range(s)] for i in range(s)]
+        else:
+            for i in range(s):
+                B[i][(i + 1) % s] = nonzero()
+        if rng.random() < 0.2:  # singular: the last row (and column) vanishes
+            B[-1] = [Fr(0)] * s
+            for row in B if symmetric else ():
+                row[-1] = Fr(0)
+        blocks.append(B)
+    M = [[Fr(0)] * n for _ in range(n)]
+    at = 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            M[at + i][at:at + len(B)] = row
+        at += len(B)
+    perm = rng.sample(range(n), n)
+    return [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)], blocks
+
+
+class TestBlockElimination:
+    """det_exact and inertia_exact eliminate each diagonal block on its own."""
+
+    def test_det_matches_leibniz(self):
+        rng = random.Random(23)
+        for k in range(200):
+            M, _ = _permuted_block_matrix(rng, symmetric=k % 2 == 0)
+            det = linalg.det_exact(M)
+            assert det == _leibniz_det(M)
+            assert isinstance(det, Fr)
+
+    def test_inertia_is_sum_over_blocks(self):
+        # symmetric forms only: Sylvester's law says nothing of the others
+        rng = random.Random(29)
+        for _ in range(200):
+            M, blocks = _permuted_block_matrix(rng, symmetric=True)
+            parts = [linalg.inertia_exact(B).as_tuple() for B in blocks]
+            got = linalg.inertia_exact(M).as_tuple()
+            assert got == tuple(map(sum, zip(*parts)))
+            assert got == linalg.inertia_float(np.array(M, dtype=float)).as_tuple()
+
+    def test_non_finite_float_form_rejected(self):
+        for bad in (np.inf, np.nan):
+            K = np.identity(3)
+            K[0, 1] = K[1, 0] = bad
+            with pytest.raises(UnsupportedDomainError):
+                linalg.inertia_float(K)
 
 
 class TestInertia:

@@ -263,3 +263,51 @@ class TestOverflow:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "kappa=%r" % float(kappa) in err
+
+
+class TestNonFiniteSelfChecks:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_representation_residual_exit_one(self, capsys):
+        """The adjoint overflows at lambda2 = mu2 = 1e308; its bracket
+        residual is nan, which must fail the K2 self-check."""
+        code, out, err = run_cli(
+            capsys, "casimir", "--kind", "K2", "--kappa", "1", "--lambda2", "1e308",
+            "--mu2", "1e308", "--format", "json",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "nan" in err
+
+    @pytest.mark.parametrize("command", ["killing", "classify"])
+    def test_overflowed_killing_form_exit_one(self, capsys, command):
+        """One Killing entry overflows to inf at kappa = lambda2 = 1e155; its
+        eigenvalues are nan and used to be counted as 15 zeros."""
+        code, out, err = run_cli(
+            capsys, command, "--kappa", "1e155", "--lambda2", "1e155", "--mu2", "1",
+            "--format", "json",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
+    def test_scan_through_overflowed_point_exit_one(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scan", "--kappa", "1:1e155:2", "--lambda2", "1e155:1e155:1",
+            "--mu2", "1:1:1", "--format", "csv",
+        )
+        assert code == 1
+        assert out == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
+    def test_finite_form_with_overflowed_det_keeps_output(self, capsys):
+        """At kappa = 1e70 the form is finite and only det K overflows."""
+        code, out, _ = run_cli(
+            capsys, "classify", "--kappa", "1e70", "--lambda2", "1", "--mu2", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["det_killing"] == float("-inf")
+        assert (obj["class"], obj["sig_pos"], obj["sig_neg"], obj["sig_zero"]) == (
+            "SO(2,4)", 8, 7, 0)

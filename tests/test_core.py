@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction as Fr
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -25,6 +25,7 @@ from phasealg.core import (
     metric,
     structure_constants,
 )
+from test_acceptance import _build_grid
 
 
 def exact_params(k, l2, m2):
@@ -187,3 +188,24 @@ class TestJacobi:
         t = structure_constants(exact_params(1, 1, 1))
         broken = t.perturbed(P(0), P(1), F(0, 1), Fr(1))
         assert jacobi_residual(broken) >= 1
+
+
+class TestAffineTemplate:
+    """structure_constants evaluates a cached template; the term-by-term
+    builder it is read from stays the reference, order and types included."""
+
+    @staticmethod
+    def assert_same_as_builder(params):
+        t = structure_constants(params)
+        ref = core._build_table(params.kappa, params.lambda_sq, params.mu_sq)
+        assert repr(list(t.table.items())) == repr(list(ref.items()))
+        assert t.exact is params.exact
+
+    def test_criterion_1_grid(self):
+        for triple in _build_grid():
+            self.assert_same_as_builder(ParameterSet(*triple))
+
+    def test_float_and_mixed_points(self):
+        values = (0.0, -0.0, 1e-300, 1e200, -2.5, 1, Fr(-1, 3))
+        for triple in product(values, repeat=3):
+            self.assert_same_as_builder(ParameterSet(*triple))

@@ -144,3 +144,16 @@ class TestRobertson:
         rep = spinor_momentum_rep(4.0)
         with pytest.raises(InvalidInputError):
             robertson(rep, 2.0 * spin_up_state(), P(1), P(2))
+
+    def test_nan_state_rejected(self):
+        rep = spinor_momentum_rep(4.0)
+        psi = spin_up_state()
+        psi[1] = np.nan
+        with pytest.raises(InvalidInputError):
+            robertson(rep, psi, P(1), P(2))
+
+    def test_nan_generator_rejected(self):
+        rep = spinor_momentum_rep(4.0)
+        rep.mats[P(1)] = rep.mats[P(1)] * np.nan
+        with pytest.raises(InvalidInputError):
+            robertson(rep, spin_up_state(), P(1), P(2))
