@@ -122,7 +122,6 @@ def classify(params, tol=1e-9):
 
 SO6_PAIRS = tuple((a, b) for a, b in combinations(range(6), 2))
 _SO6_INDEX = {pair: k for k, pair in enumerate(SO6_PAIRS)}
-SO6_NAMES = tuple("J%d%d" % p for p in SO6_PAIRS)
 
 
 def so6_index(a, b):
@@ -136,7 +135,7 @@ def so_structure_constants(eta_diag):
     """
     tb = _TableBuilder()
     _add_so_brackets(tb, SO6_PAIRS, so6_index, eta_diag)
-    return StructureTensor(len(SO6_PAIRS), tb.finish(), is_exact(*eta_diag), names=SO6_NAMES)
+    return StructureTensor(len(SO6_PAIRS), tb.finish(), is_exact(*eta_diag))
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +294,7 @@ def transform_structure_constants(t, emb):
             if v:
                 for r, w in inv[a].items():
                     tb.add(p, q, r, v * w)
-    return StructureTensor(DIM, tb.finish(), t.exact, names=SO6_NAMES)
+    return StructureTensor(DIM, tb.finish(), t.exact)
 
 
 def embedding_deviation(emb):

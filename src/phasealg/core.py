@@ -161,12 +161,11 @@ class StructureTensor:
     of every nonzero pair are stored, so antisymmetry is explicit.
     """
 
-    def __init__(self, dim, table, exact, params=None, names=None):
+    def __init__(self, dim, table, exact, params=None):
         self.dim = dim
         self.table = table
         self.exact = exact
         self.params = params
-        self.names = names
 
     def coeff(self, a, b, c):
         return self.table.get((a, b), {}).get(c, 0)
@@ -182,8 +181,7 @@ class StructureTensor:
         table.setdefault((b, a), {})
         table[(a, b)][c] = table[(a, b)].get(c, 0) + delta
         table[(b, a)][c] = table[(b, a)].get(c, 0) - delta
-        return StructureTensor(self.dim, table, self.exact and is_exact(delta),
-                               params=None, names=self.names)
+        return StructureTensor(self.dim, table, self.exact and is_exact(delta))
 
 
 class _TableBuilder:
@@ -315,8 +313,7 @@ def structure_constants(params):
     for key, c, s in entries:
         if vals[s]:
             table.setdefault(key, {})[c] = vals[s]
-    return StructureTensor(DIM, table, params.exact, params=params,
-                           names=GENERATOR_NAMES)
+    return StructureTensor(DIM, table, params.exact, params=params)
 
 
 def basis_element(index, dim=DIM, exact=False):

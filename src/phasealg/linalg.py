@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -24,8 +25,8 @@ class Inertia:
 
 
 def _blocks(mat):
-    """Diagonal blocks of mat as Fractions, one per connected component of
-    the graph that joins i and j when mat[i][j] or mat[j][i] is nonzero."""
+    """Diagonal blocks of mat, entries as given, one per connected component
+    of the graph that joins i and j when mat[i][j] or mat[j][i] is nonzero."""
     n = len(mat)
     adj = [set() for _ in range(n)]
     for i, row in enumerate(mat):
@@ -44,103 +45,62 @@ def _blocks(mat):
             seen |= new
             block += new
         block.sort()
-        blocks.append([[Fraction(mat[i][j]) for j in block] for i in block])
+        blocks.append([[mat[i][j] for j in block] for i in block])
     return blocks
 
 
-def _det(m):
-    """Determinant by Gaussian elimination; m (Fractions) is overwritten."""
+def _charpoly(m):
+    """(c, d) with m = a/d for an integer matrix a and an integer d > 0, and
+    c[0..n] the integer coefficients of det(xI - a), lowest first.
+
+    Faddeev-LeVerrier on Python ints: from M = I, for k = 1..n, M <- a M,
+    c[n-k] = -tr(M)/k (an exact division), M <- M + c[n-k] I.
+    """
     n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pivot = m[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / pivot
-                for c in range(col + 1, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
-def _inertia(m):
-    """(n_pos, n_neg) by symmetric congruence with exact pivoting; m is
-    overwritten."""
-    n = len(m)
-
-    def swap(a, b):
-        m[a], m[b] = m[b], m[a]
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-
-    for k in range(n):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][r] != 0), None)
-            if piv is not None:
-                swap(k, piv)
-            else:
-                # all remaining diagonal entries vanish; grab an off-diagonal
-                # one and symmetrically add its column to create a pivot
-                hit = None
-                for r in range(k, n):
-                    for c in range(r + 1, n):
-                        if m[r][c] != 0:
-                            hit = (r, c)
-                            break
-                    if hit:
-                        break
-                if hit is None:
-                    break  # remaining block is identically zero
-                r, c = hit
-                for j in range(n):
-                    m[r][j] += m[c][j]
-                for i in range(n):
-                    m[i][r] += m[i][c]
-                if r != k:
-                    swap(k, r)
-        if m[k][k] == 0:
-            continue
-        for r in range(k + 1, n):
-            if not m[r][k]:
-                continue
-            factor = m[r][k] / m[k][k]
-            for c in range(n):
-                m[r][c] -= factor * m[k][c]
-            for i in range(n):
-                m[i][r] -= factor * m[i][k]
-    return (sum(1 for k in range(n) if m[k][k] > 0),
-            sum(1 for k in range(n) if m[k][k] < 0))
+    ratios = [[v.as_integer_ratio() for v in row] for row in m]
+    d = math.lcm(*(q for row in ratios for _, q in row))
+    a = [[p * (d // q) for p, q in row] for row in ratios]
+    c = [0] * n + [1]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*M))
+        M = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        c[n - k] = -sum(M[i][i] for i in range(n)) // k
+        for i in range(n):
+            M[i][i] += c[n - k]
+    return c, d
 
 
 def det_exact(mat):
-    """Determinant of a square matrix of Fractions.
+    """Exact determinant of a square matrix of ints, Fractions or floats.
 
-    Each diagonal block (see _blocks) is eliminated on its own; det is the
-    product over the blocks, since a symmetric permutation of rows and
-    columns leaves it unchanged (det P^2 = 1).
+    Each diagonal block (see _blocks) contributes (-1)^n c[0] / d^n (see
+    _charpoly); a symmetric permutation leaves det unchanged (det P^2 = 1).
     """
-    return math.prod(map(_det, _blocks(mat)), start=Fraction(1))
+    num = den = 1
+    for block in _blocks(mat):
+        c, d = _charpoly(block)
+        num *= (-1) ** len(block) * c[0]
+        den *= d ** len(block)
+    return Fraction(num, den)
 
 
 def inertia_exact(mat):
-    """Sylvester inertia by symmetric congruence with exact pivoting.
+    """Exact Sylvester inertia of a symmetric form, summed over its diagonal
+    blocks (see _blocks), which a symmetric permutation leaves unchanged.
 
-    No eigenvalues involved, so degenerate forms are handled exactly.  Each
-    diagonal block (see _blocks) is reduced on its own and the counts are
-    summed; by Sylvester's law a symmetric permutation changes nothing.
+    A symmetric block has real eigenvalues only, so Descartes' rule of signs
+    on its characteristic polynomial (see _charpoly; d > 0 keeps every sign)
+    is exact: n_pos is the number of sign changes among the nonzero
+    coefficients and n_zero the index of the first nonzero one.
     """
-    n = len(mat)
-    pos = neg = 0
+    pos = zero = 0
     for block in _blocks(mat):
-        p, q = _inertia(block)
-        pos, neg = pos + p, neg + q
-    return Inertia(pos, neg, n - pos - neg)
+        c, _ = _charpoly(block)
+        signs = [v > 0 for v in c if v]
+        pos += sum(s != t for s, t in zip(signs, signs[1:]))
+        zero += next(k for k, v in enumerate(c) if v)
+    return Inertia(pos, len(mat) - pos - zero, zero)
 
 
 def inertia_float(mat, tol=1e-9):
@@ -160,7 +120,7 @@ def inertia_float(mat, tol=1e-9):
 
 
 def inertia(mat, tol=1e-9):
-    """Sylvester inertia: eigenvalues for an ndarray, exact congruence otherwise."""
+    """Sylvester inertia: eigenvalues for an ndarray, exact otherwise."""
     if isinstance(mat, np.ndarray):
         return inertia_float(mat, tol)
     return inertia_exact(mat)

@@ -78,7 +78,8 @@ def spinor_momentum_rep(mu_sq, tol=1e-12):
     rho(F_ij) = S_ij; rho(p_i) = (sqrt|mu^2|/2) gamma5 gamma_i for mu^2 > 0
     and (sqrt|mu^2|/2) gamma_i for mu^2 < 0 (the AdS-type branch, where the
     momenta cannot all be Hermitian in a finite-dimensional representation).
-    The bracket relations are verified at construction.
+    The bracket relations are verified at construction, against tol scaled
+    by max(1, |mu^2|): the F-F brackets are O(1), the p-p brackets O(mu^2).
     """
     if mu_sq == 0:
         raise InvalidInputError("mu_sq must be nonzero")
@@ -96,7 +97,7 @@ def spinor_momentum_rep(mu_sq, tol=1e-12):
     params = ParameterSet(0, 0, mu_sq)
     rep = Representation(dim=4, mats=mats, params=params, hermitian_momenta=hermitian)
     res = representation_residual(rep, structure_constants(params))
-    if not (res <= tol):
+    if not (res <= tol * max(1.0, abs(float(mu_sq)))):
         raise InternalConsistencyError(
             "spinor momentum representation failed its bracket check (%g)" % res
         )

@@ -180,8 +180,66 @@ def _permuted_block_matrix(rng, symmetric):
     return [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)], blocks
 
 
+def _congruent_form(rng, n):
+    """A dense symmetric rational form U^T D U / s, with U unit upper
+    triangular and s > 0, and its inertia, which Sylvester's law fixes as
+    that of the diagonal D."""
+    D = [rng.choice([-2, -1, 0, 0, 1, 2, 3]) for _ in range(n)]
+    U = [[int(i == j) if i >= j else rng.randint(-3, 3) for j in range(n)] for i in range(n)]
+    s = rng.randint(1, 5)
+    S = [[Fr(sum(U[k][i] * D[k] * U[k][j] for k in range(n)), s) for j in range(n)]
+         for i in range(n)]
+    return S, (sum(d > 0 for d in D), sum(d < 0 for d in D), D.count(0))
+
+
 class TestBlockElimination:
-    """det_exact and inertia_exact eliminate each diagonal block on its own."""
+    """det_exact and inertia_exact reduce each diagonal block on its own."""
+
+    def test_dense_det_matches_leibniz(self):
+        rng = random.Random(31)
+        for k in range(120):
+            n = rng.randint(1, 6)
+            M = [[Fr(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+            if k % 3 == 0:
+                M = [[M[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            assert linalg.det_exact(M) == _leibniz_det(M)
+
+    def test_dense_symmetric_inertia(self):
+        rng = random.Random(37)
+        for _ in range(120):
+            S, want = _congruent_form(rng, rng.randint(1, 9))
+            assert linalg.inertia_exact(S).as_tuple() == want
+            assert linalg.inertia_float(np.array(S, dtype=float)).as_tuple() == want
+
+    def test_hyperbolic_and_zero_blocks(self):
+        for a in (1, -3, Fr(2, 7), 0.5, -1e-3):
+            H = [[0, a], [a, 0]]
+            assert linalg.inertia_exact(H).as_tuple() == (1, 1, 0)
+            assert linalg.det_exact(H) == -Fr(a) ** 2
+        for n in range(1, 5):
+            Z = [[Fr(0)] * n for _ in range(n)]
+            assert linalg.inertia_exact(Z).as_tuple() == (0, 0, n)
+            assert linalg.det_exact(Z) == 0
+        # hyperbolic pair at rows 0, 3 with a zero row and a negative entry
+        M = [[0, 0, 0, 5], [0, 0, 0, 0], [0, 0, Fr(-1, 3), 0], [5, 0, 0, 0]]
+        assert linalg.inertia_exact(M).as_tuple() == (1, 2, 1)
+        assert linalg.det_exact(M) == 0
+
+    def test_entry_types_agree(self):
+        # dyadic entries are the same numbers as int, float and Fraction
+        rng = random.Random(41)
+        for k in range(60):
+            n = rng.randint(1, 7)
+            S, _ = _congruent_form(rng, n)
+            q = 4 if k % 2 else 1  # quarters, or integers that also fit an int
+            S = [[Fr(round(v * q), q) for v in row] for row in S]
+            same = [[[float(v) for v in row] for row in S]]
+            if k % 2 == 0:
+                same.append([[int(v) for v in row] for row in S])
+            for M in same:
+                assert linalg.det_exact(M) == linalg.det_exact(S)
+                assert linalg.inertia_exact(M) == linalg.inertia_exact(S)
+                assert isinstance(linalg.det_exact(M), Fr)
 
     def test_det_matches_leibniz(self):
         rng = random.Random(23)

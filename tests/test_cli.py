@@ -165,6 +165,13 @@ class TestOtherCommands:
         assert obj["bound"] == pytest.approx(1.0)
         assert obj["satisfied"] is True
 
+    @pytest.mark.parametrize("mu2", ["1e-300", "1e-10", "1", "4", "1e100", "1e150",
+                                     "1e200", "1e250", "1e300", "1.7e308"])
+    def test_uncertainty_at_every_magnitude(self, capsys, mu2):
+        code, out, _ = run_cli(capsys, "uncertainty", "--mu2", mu2, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["satisfied"] is True
+
     def test_uncertainty_negative_mu_exit_one(self, capsys):
         code, _, _ = run_cli(capsys, "uncertainty", "--mu2", "-4")
         assert code == 1

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from phasealg import spinor
 from phasealg.core import (
     F,
+    InternalConsistencyError,
     InvalidInputError,
     P,
     representation_residual,
     structure_constants,
 )
 from phasealg.spinor import (
+    GammaBasis,
     clifford_violation,
     gamma_basis,
     robertson,
@@ -96,6 +99,17 @@ class TestMomentumRep:
     def test_zero_mu_rejected(self):
         with pytest.raises(InvalidInputError):
             spinor_momentum_rep(0.0)
+
+    @pytest.mark.parametrize("mu_sq", [1.0, 1e100])
+    def test_bracket_check_catches_wrong_gamma5(self, monkeypatch, mu_sq):
+        # rho(p) scaled by 1.01 breaks [p, p] = mu^2 F by 2% at any scale
+        def skewed():
+            gb = gamma_basis()
+            return GammaBasis(gb.gamma, 1.01 * gb.gamma5, gb.S)
+
+        monkeypatch.setattr(spinor, "gamma_basis", skewed)
+        with pytest.raises(InternalConsistencyError):
+            spinor_momentum_rep(mu_sq)
 
 
 class TestRobertson:
