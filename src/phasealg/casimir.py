@@ -190,4 +190,4 @@ def kgf_check(rep, params, tol=1e-9):
         return report.scalar_value, abs(report.scalar_value) <= tol
     # non-scalar: the equation holds on the whole space iff the kernel is full
     rank = np.linalg.matrix_rank(report.matrix, tol=tol)
-    return None, rank == 0
+    return None, bool(rank == 0)

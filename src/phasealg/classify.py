@@ -208,7 +208,8 @@ def pseudo_orthogonal_embedding(params, tol=1e-9):
     Verified at construction: the transformed structure constants must match
     the canonical ones entrywise (exactly in exact mode, else within tol).
     """
-    if classify(params, tol=tol).degenerate:
+    cls = classify(params, tol=tol)
+    if cls.degenerate:
         raise InvalidInputError("embedding requires a semisimple point (det Q != 0)")
     exact = params.exact
     res = _diagonalize_gram(params, exact)
@@ -252,10 +253,9 @@ def pseudo_orthogonal_embedding(params, tol=1e-9):
             "embedding does not reproduce canonical constants (deviation %r)" % dev
         )
     sig = (sum(1 for e in six_metric if e > 0), sum(1 for e in six_metric if e < 0))
-    cls = classify(params, tol=tol).signature
-    if sig != cls:
+    if sig != cls.signature:
         raise InternalConsistencyError(
-            "embedding signature %r disagrees with classification %r" % (sig, cls)
+            "embedding signature %r disagrees with classification %r" % (sig, cls.signature)
         )
     return emb
 

@@ -8,6 +8,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -91,7 +92,9 @@ def _parse_grid(text, exact):
 
 
 def _fmt(value):
-    """Deterministic plain-text rendering of a scalar."""
+    """Deterministic plain-text rendering of a scalar or, comma-joined, a list."""
+    if isinstance(value, list):
+        return ",".join(_fmt(v) for v in value)
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, complex):
@@ -123,17 +126,21 @@ def _jsonable(value):
     return value
 
 
-def _emit(records, fmt, out, columns=None, single=None):
-    """Render records (list of dicts) deterministically to a stream."""
+def _emit(result, fmt, out):
+    """Render a command's result deterministically to a stream.
+
+    A result is one record (a dict), a list of records, or text that a
+    command has already rendered for the chosen format.
+    """
+    if isinstance(result, str):
+        out.write(result)
+        return
     if fmt == "json":
-        if single is not None:
-            payload = _jsonable(single)
-        else:
-            payload = [_jsonable(r) for r in records]
-        out.write(json.dumps(payload) + "\n")
-    elif fmt == "csv":
-        if columns is None:
-            columns = list(records[0]) if records else []
+        out.write(json.dumps(_jsonable(result)) + "\n")
+        return
+    records = [result] if isinstance(result, dict) else result
+    if fmt == "csv":
+        columns = list(records[0]) if records else []
         out.write(",".join(columns) + "\n")
         for r in records:
             out.write(",".join(_fmt(r[c]) for c in columns) + "\n")
@@ -144,7 +151,16 @@ def _emit(records, fmt, out, columns=None, single=None):
 
 
 def _params_from_args(args):
-    if getattr(args, "params", None):
+    """The point from --params, the units flags or --kappa/--lambda2/--mu2.
+
+    All seven number flags are parsed first, so a malformed one is an error
+    even when another source gives the point.
+    """
+    kappa, lambda2, mu2, f, M2, L2, H2 = (
+        None if text is None else _parse_number(text, args.exact)
+        for text in (args.kappa, args.lambda2, args.mu2, args.f, args.M2, args.L2, args.H2)
+    )
+    if args.params:
         with open(args.params) as fh:
             obj = json.load(fh)
         try:
@@ -156,16 +172,17 @@ def _params_from_args(args):
         if args.exact:
             vals = [Fraction(str(v)) for v in vals]
         return ParameterSet(*vals)
-    if args.M2 is not None or args.L2 is not None or args.H2 is not None:
-        if None in (args.M2, args.L2, args.H2):
+    if M2 is not None or L2 is not None or H2 is not None:
+        if None in (M2, L2, H2):
             raise InvalidInputError("units mode needs all of --M2, --L2, --H2")
-        f = args.f if args.f is not None else (Fraction(1) if args.exact else 1.0)
-        return convert_units(UnitsParams(f, args.M2, args.L2, args.H2))
-    if None in (args.kappa, args.lambda2, args.mu2):
+        if f is None:
+            f = Fraction(1) if args.exact else 1.0
+        return convert_units(UnitsParams(f, M2, L2, H2))
+    if None in (kappa, lambda2, mu2):
         raise InvalidInputError(
             "need --kappa/--lambda2/--mu2 (or --M2/--L2/--H2, or --params)"
         )
-    return ParameterSet(args.kappa, args.lambda2, args.mu2)
+    return ParameterSet(kappa, lambda2, mu2)
 
 
 def _point_record(params, tol):
@@ -234,34 +251,24 @@ def build_parser():
     return parser
 
 
-def _number_args(args, names):
-    for name in names:
-        val = getattr(args, name, None)
-        if isinstance(val, str):
-            setattr(args, name, _parse_number(val, args.exact))
-
-
-def _cmd_jacobi(args, out):
+def _cmd_jacobi(args):
     params = _params_from_args(args)
-    res = jacobi_residual(structure_constants(params))
-    _emit([{"jacobi_residual": res}], args.format, out, single={"jacobi_residual": _jsonable(res)})
+    return {"jacobi_residual": jacobi_residual(structure_constants(params))}
 
 
-def _cmd_classify(args, out):
+def _cmd_classify(args):
+    return _point_record(_params_from_args(args), args.tol)
+
+
+def _cmd_killing(args):
     rec = _point_record(_params_from_args(args), args.tol)
-    _emit([rec], args.format, out, columns=list(rec), single=rec)
+    return {c: rec[c] for c in ("det_killing", "sig_pos", "sig_neg", "sig_zero")}
 
 
-def _cmd_killing(args, out):
-    rec = _point_record(_params_from_args(args), args.tol)
-    rec = {c: rec[c] for c in ("det_killing", "sig_pos", "sig_neg", "sig_zero")}
-    _emit([rec], args.format, out, columns=list(rec), single=rec)
-
-
-def _cmd_embed(args, out):
+def _cmd_embed(args):
     params = _params_from_args(args)
     emb = pseudo_orthogonal_embedding(params, tol=args.tol)
-    rec = {
+    return {
         "class": str(classify_point(params, tol=args.tol)),
         "six_metric": ",".join(_fmt(e) for e in emb.six_metric),
         "deviation": emb.deviation,
@@ -270,10 +277,9 @@ def _cmd_embed(args, out):
         "s10": emb.s_matrix[1][0],
         "s11": emb.s_matrix[1][1],
     }
-    _emit([rec], args.format, out, columns=list(rec), single=rec)
 
 
-def _cmd_casimir(args, out):
+def _cmd_casimir(args):
     params = _params_from_args(args).as_floats()
     rep = adjoint_representation(structure_constants(params))
     if args.kind == "K2":
@@ -281,28 +287,21 @@ def _cmd_casimir(args, out):
     else:
         emb = pseudo_orthogonal_embedding(params, tol=args.tol)
         rep_report = casimir.casimir_eps(rep, emb, args.kind, tol=args.tol)
-    rec = {
+    return {
         "kind": args.kind,
         "centrality_residual": rep_report.centrality_residual,
-        "scalar_value": rep_report.scalar_value
-        if rep_report.scalar_value is not None
-        else "absent",
+        "scalar_value": "absent" if rep_report.scalar_value is None else rep_report.scalar_value,
     }
-    _emit([rec], args.format, out, columns=list(rec), single=rec)
 
 
-def _cmd_kgf(args, out):
+def _cmd_kgf(args):
     params = _params_from_args(args).as_floats()
     rep = adjoint_representation(structure_constants(params))
     eig, ok = casimir.kgf_check(rep, params, tol=args.tol)
-    rec = {
-        "eigenvalue": eig if eig is not None else "absent",
-        "satisfied": ok,
-    }
-    _emit([rec], args.format, out, columns=list(rec), single=rec)
+    return {"eigenvalue": "absent" if eig is None else eig, "satisfied": ok}
 
 
-def _cmd_uncertainty(args, out):
+def _cmd_uncertainty(args):
     mu2 = float(args.mu2)
     if mu2 <= 0:
         raise UnsupportedDomainError(
@@ -310,67 +309,49 @@ def _cmd_uncertainty(args, out):
         )
     rep = spinor.spinor_momentum_rep(mu2)
     report = spinor.robertson(rep, spinor.spin_up_state(), P(1), P(2), tol=args.tol)
-    rec = {
+    return {
         "delta_p1": report.delta_A,
         "delta_p2": report.delta_B,
         "bound": report.bound,
         "product": report.delta_A * report.delta_B,
         "satisfied": report.satisfied,
     }
-    _emit([rec], args.format, out, columns=list(rec), single=rec)
 
 
-def _cmd_dgl(args, out):
+def _cmd_dgl(args):
     opts = pheno.DGLOptions(float(args.mus), include_spin_spin=args.spin_spin)
-    vals = pheno.dgl_spectrum(float(args.m0), opts)
-    rec = {"eigenvalues": ",".join(_fmt(v) for v in vals)}
-    _emit([rec], args.format, out, columns=list(rec),
-          single={"eigenvalues": [_jsonable(v) for v in vals]})
+    return {"eigenvalues": pheno.dgl_spectrum(float(args.m0), opts)}
 
 
-def _cmd_mass(args, out):
+def _cmd_mass(args):
     if args.quarks:
         if args.mus is None:
             raise InvalidInputError("--quarks requires --mus")
         with open(args.quarks) as fh:
             table = pheno.load_quark_table(json.load(fh))
+        if not table and args.format == "csv":
+            return "flavor,constituent_MeV,current_MeV\n"
         mu_abs = float(args.mus)
-        records = []
-        for flavor in sorted(table):
-            records.append(
-                {
-                    "flavor": flavor,
-                    "constituent_MeV": table[flavor],
-                    "current_MeV": pheno.current_mass(table[flavor], mu_abs),
-                }
-            )
-        _emit(records, args.format, out, columns=["flavor", "constituent_MeV", "current_MeV"])
-        return
+        return [
+            {
+                "flavor": flavor,
+                "constituent_MeV": table[flavor],
+                "current_MeV": pheno.current_mass(table[flavor], mu_abs),
+            }
+            for flavor in sorted(table)
+        ]
     if args.m is None or args.m0 is None:
         raise InvalidInputError("mass needs --m and --m0 (or --quarks with --mus)")
     mu_abs = pheno.mu_s_from_masses(pheno.MassInputs(float(args.m), float(args.m0)))
     if args.format == "table":
-        out.write("|mu_s| = %s MeV\n" % _fmt(mu_abs))
-    else:
-        rec = {"mu_s_abs_MeV": mu_abs}
-        _emit([rec], args.format, out, columns=list(rec), single=rec)
+        return "|mu_s| = %s MeV\n" % _fmt(mu_abs)
+    return {"mu_s_abs_MeV": mu_abs}
 
 
-def _cmd_scan(args, out):
-    grids = [
-        _parse_grid(args.kappa, args.exact),
-        _parse_grid(args.lambda2, args.exact),
-        _parse_grid(args.mu2, args.exact),
-    ]
-    points = [
-        ParameterSet(k, l2, m2)
-        for k in grids[0]
-        for l2 in grids[1]
-        for m2 in grids[2]
-    ]
-    records = [{c: rec[c] for c in SCAN_COLUMNS}
-               for rec in (_point_record(p, args.tol) for p in points)]
-    _emit(records, args.format, out, columns=list(SCAN_COLUMNS))
+def _cmd_scan(args):
+    grids = [_parse_grid(g, args.exact) for g in (args.kappa, args.lambda2, args.mu2)]
+    return [{c: rec[c] for c in SCAN_COLUMNS}
+            for rec in (_point_record(ParameterSet(*p), args.tol) for p in product(*grids))]
 
 
 _COMMANDS = {
@@ -388,19 +369,20 @@ _COMMANDS = {
 
 
 def run(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _number_args(
-        args,
-        ("kappa", "lambda2", "mu2", "f", "M2", "L2", "H2")
-        if args.command not in ("scan", "uncertainty", "dgl", "mass")
-        else (),
-    )
+    """Compute the command's result, then render it once.
+
+    numpy's floating-point warnings are silenced: every self-check fails
+    a nan or inf on its own.  --output is opened only after the command
+    has succeeded, so a failing command leaves the file as it was.
+    """
+    args = build_parser().parse_args(argv)
+    with np.errstate(all="ignore"):
+        result = _COMMANDS[args.command](args)
     if args.output:
         with open(args.output, "w", newline="") as fh:
-            _COMMANDS[args.command](args, fh)
+            _emit(result, args.format, fh)
     else:
-        _COMMANDS[args.command](args, sys.stdout)
+        _emit(result, args.format, sys.stdout)
     return 0
 
 

@@ -1,10 +1,12 @@
 """Tests for the command-line front end."""
 
 import json
+import warnings
 
+import numpy as np
 import pytest
 
-from phasealg import cli
+from phasealg import casimir, cli
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +94,18 @@ class TestMassCommand:
         assert lines[1] == "d,320,6"
         assert lines[2] == "u,316,2"
 
+    @pytest.mark.parametrize("fmt,expected", [
+        ("json", "[]\n"), ("csv", "flavor,constituent_MeV,current_MeV\n"), ("table", ""),
+    ])
+    def test_empty_quark_table(self, capsys, tmp_path, fmt, expected):
+        path = tmp_path / "quarks.json"
+        path.write_text("{}")
+        code, out, _ = run_cli(
+            capsys, "mass", "--quarks", str(path), "--mus", "157", "--format", fmt
+        )
+        assert code == 0
+        assert out == expected
+
 
 class TestOtherCommands:
     def test_jacobi_exact(self, capsys):
@@ -132,6 +146,21 @@ class TestOtherCommands:
         assert obj["deviation"] == "0"
         assert [obj[k] for k in ("s00", "s01", "s10", "s11")] == ["1", "0", "0", "1"]
 
+    @pytest.mark.parametrize("mu2", ["1/100000", "1/1000000"])
+    def test_embed_exact_float_fallback_keeps_exact_class(self, capsys, mu2):
+        """Irrational normalisers send the embedding to floats; its signature
+        is checked against the class of the exact input, not re-derived from
+        floats whose |det Q| falls under the absolute tol."""
+        code, out, err = run_cli(
+            capsys, "embed", "--exact", "--kappa", "0", "--lambda2", "1/100000",
+            "--mu2", mu2, "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["class"] == "SO(1,5)"
+        assert obj["six_metric"] == "1,-1,-1,-1,-1,-1"
+        assert obj["deviation"] <= 1e-9
+
     def test_embed_degenerate_exit_one(self, capsys):
         code, _, err = run_cli(
             capsys, "embed", "--kappa", "1", "--lambda2", "1", "--mu2", "1"
@@ -156,6 +185,19 @@ class TestOtherCommands:
         obj = json.loads(out)
         assert obj["eigenvalue"] == 0
         assert obj["satisfied"] is True
+
+    @pytest.mark.parametrize("size,satisfied", [(0, "true"), (1, "false")])
+    def test_kgf_non_scalar_operator_prints_json_bool(self, capsys, monkeypatch, size, satisfied):
+        """A non-scalar wave operator is judged by its numpy rank, which
+        must reach json as a plain bool, not a traceback."""
+        matrix = np.diag([0.0] * (15 - size) + [1.0] * size)
+        monkeypatch.setattr(casimir, "casimir_k2",
+                            lambda rep, params, tol: casimir.CasimirReport(matrix, 0.0))
+        code, out, _ = run_cli(
+            capsys, "kgf", "--kappa", "0", "--lambda2", "1", "--mu2", "1", "--format", "json",
+        )
+        assert code == 0
+        assert out == '{"eigenvalue": "absent", "satisfied": %s}\n' % satisfied
 
     def test_uncertainty(self, capsys):
         code, out, _ = run_cli(capsys, "uncertainty", "--mu2", "4", "--format", "json")
@@ -224,6 +266,19 @@ class TestScan:
         assert out == ""
         assert path.read_text().count("\n") == 5
 
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--kappa", "1:1e155:2", "--lambda2", "1e155:1e155:1", "--mu2", "1:1:1"),
+        ("embed", "--kappa", "1", "--lambda2", "1", "--mu2", "1"),
+        ("classify", "--kappa", "x", "--lambda2", "1", "--mu2", "1"),
+    ])
+    def test_failing_command_leaves_output_file_untouched(self, capsys, tmp_path, argv):
+        path, absent = tmp_path / "keep.txt", tmp_path / "absent.txt"
+        path.write_text("keep")
+        assert run_cli(capsys, *argv, "--format", "csv", "--output", str(path))[0] == 1
+        assert run_cli(capsys, *argv, "--format", "csv", "--output", str(absent))[0] == 1
+        assert path.read_text() == "keep"
+        assert not absent.exists()
+
     def test_bad_grid_exit_one(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--kappa", "1:1", "--lambda2", "0:1:2",
                              "--mu2", "0:1:2")
@@ -250,7 +305,6 @@ class TestExitCodes:
 
 
 class TestOverflow:
-    @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
     def test_non_finite_float_printed_as_inf(self, capsys):
         """det K overflows to -inf at kappa = 1e70; csv and table print it
         the way json reports the same value, not a traceback."""
@@ -272,8 +326,21 @@ class TestOverflow:
         assert err.startswith("error: ") and "kappa=%r" % float(kappa) in err
 
 
+class TestNoNumpyWarnings:
+    @pytest.mark.parametrize("argv,expected_code", [
+        (("classify", "--kappa", "1e70", "--lambda2", "1", "--mu2", "1"), 0),
+        (("casimir", "--kind", "K2", "--kappa", "1", "--lambda2", "1e308", "--mu2", "1e308"), 1),
+    ])
+    def test_overflow_warnings_stay_off_stderr(self, capsys, argv, expected_code):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, *argv)
+        assert code == expected_code
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in err
+
+
 class TestNonFiniteSelfChecks:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_representation_residual_exit_one(self, capsys):
         """The adjoint overflows at lambda2 = mu2 = 1e308; its bracket
         residual is nan, which must fail the K2 self-check."""
@@ -297,7 +364,6 @@ class TestNonFiniteSelfChecks:
         assert out == ""
         assert err.startswith("error: ")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
     def test_scan_through_overflowed_point_exit_one(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--kappa", "1:1e155:2", "--lambda2", "1e155:1e155:1",
@@ -306,7 +372,6 @@ class TestNonFiniteSelfChecks:
         assert code == 1
         assert out == ""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
     def test_finite_form_with_overflowed_det_keeps_output(self, capsys):
         """At kappa = 1e70 the form is finite and only det K overflows."""
         code, out, _ = run_cli(
