@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -26,12 +26,13 @@ from .core import (
     X,
     _TableBuilder,
     _add_so_brackets,
+    _affine_template,
     bracket,
     is_exact,
     rational_sqrt,
     structure_constants,
 )
-from .linalg import inertia
+from .linalg import EPS, Inertia, inertia
 
 
 def adjoint_representation(t):
@@ -78,9 +79,93 @@ def killing_det(K):
     return linalg.det_exact(K)
 
 
+@lru_cache(maxsize=None)
+def _killing_polynomial():
+    """K as integer quadratics in theta = (1, kappa, lambda^2, mu^2), and its
+    static diagonal blocks.
+
+    f = sum_i theta_i T_i over the affine template's integer tensors T_i,
+    and K is quadratic in f: K = sum_{i <= j} theta_i theta_j K_ij with
+    K_ii = K(T_i) and K_ij = K(T_i + T_j) - K(T_i) - K(T_j).  Returns
+    {(a, b): ((i, j, coef), ...)} over the nonzero entries, and the index
+    lists of the components those entries connect.
+    """
+    slots, entries = _affine_template()
+
+    def form(*idx):
+        table = {}
+        for key, c, s in entries:
+            i, coef = slots[s]
+            if i in idx:
+                table.setdefault(key, {})[c] = coef
+        return killing_form(StructureTensor(DIM, table, True))
+
+    square = [form(i) for i in range(4)]
+    poly = {}
+    for i, j in combinations_with_replacement(range(4), 2):
+        K = square[i] if i == j else form(i, j)
+        for a, b in product(range(DIM), repeat=2):
+            v = K[a][b] if i == j else K[a][b] - square[i][a][b] - square[j][a][b]
+            if v:
+                poly.setdefault((a, b), []).append((i, j, int(v)))
+    poly = {ab: tuple(terms) for ab, terms in poly.items()}
+    pattern = [[(a, b) in poly for b in range(DIM)] for a in range(DIM)]
+    return poly, tuple(tuple(c) for c in linalg._components(pattern))
+
+
+def killing_det_inertia(params):
+    """Exact det and inertia of the Killing form at exact parameters.
+
+    With D the lcm of theta's denominators, A = D^2 K is an integer matrix
+    read off the Killing polynomial (see _killing_polynomial) at the
+    numerators D theta; det K = det A / D^30 and K has A's inertia.  One
+    _charpoly pass per static block gives both.
+    """
+    theta = (1, params.kappa, params.lambda_sq, params.mu_sq)
+    D = math.lcm(*(v.denominator for v in theta))
+    n = [v.numerator * (D // v.denominator) for v in theta]
+    poly, blocks = _killing_polynomial()
+    A = {ab: sum(coef * n[i] * n[j] for i, j, coef in terms) for ab, terms in poly.items()}
+    det, sig = linalg.det_inertia_blocks(
+        [[A.get((a, b), 0) for b in block] for a in block] for block in blocks)
+    return det / D ** (2 * DIM), sig
+
+
 def semisimplicity_indicator(params):
     """lambda^2 mu^2 - kappa^2; nonzero exactly when the algebra is semisimple."""
     return params.lambda_sq * params.mu_sq - params.kappa * params.kappa
+
+
+#: The float degeneracy band: det Q = lambda^2 mu^2 - kappa^2 counts as zero
+#: when |det Q| <= 2^-DEGENERATE_BITS max(|lambda^2 mu^2|, kappa^2), i.e.
+#: within 4 eps of the point's scale.  Rounding the products moves det Q by
+#: about one eps of that scale, so outside the band the float Killing form
+#: has the sign of the exact det Q.  Inside it, K's I-I entry
+#: 8 (kappa^2 - lambda^2 mu^2) must stay under killing_inertia's eigenvalue
+#: bound, which needs a band narrower than about 15 eps: at 1e-13 that check
+#: fails near the surface.
+DEGENERATE_BITS = 50
+
+
+def _det_q_sign(params):
+    """Sign of det Q = lambda^2 mu^2 - kappa^2: 0 on the degenerate surface,
+    exactly in exact mode and in floats within the band DEGENERATE_BITS.
+
+    Floats are dyadic rationals, so the test runs on integers and no
+    product can overflow or underflow: scaling a point by a power of two
+    never changes the answer.
+    """
+    kn, kd = params.kappa.as_integer_ratio()
+    ln, ld = params.lambda_sq.as_integer_ratio()
+    mn, md = params.mu_sq.as_integer_ratio()
+    # lambda^2 mu^2 and kappa^2 over the common denominator ld md kd^2 > 0
+    prod, kk = ln * mn * kd * kd, kn * kn * ld * md
+    det_q = prod - kk
+    if params.exact:
+        zero = det_q == 0
+    else:
+        zero = abs(det_q) << DEGENERATE_BITS <= max(abs(prod), kk)
+    return 0 if zero else (1 if det_q > 0 else -1)
 
 
 @dataclass(frozen=True)
@@ -103,18 +188,57 @@ class AlgebraClass:
         return self.tag
 
 
-def classify(params, tol=1e-9):
-    """Pseudoorthogonal class of the algebra at the given parameters."""
-    det_q = semisimplicity_indicator(params)
-    zero = det_q == 0 if params.exact else abs(det_q) <= tol
-    if zero:
+def classify(params):
+    """Pseudoorthogonal class of the algebra at the given parameters.
+
+    Floats are degenerate within a relative band of the surface (see
+    _det_q_sign), so the class does not depend on the point's scale.
+    """
+    det_sign = _det_q_sign(params)
+    if det_sign == 0:
         return AlgebraClass("Degenerate", "det Q = 0 (lambda^2 mu^2 = kappa^2)")
-    if det_q < 0:
+    if det_sign < 0:
         return AlgebraClass("SO(2,4)")
     # det Q > 0: mu^2 and lambda^2 are nonzero with a common sign
     if params.mu_sq > 0:
         return AlgebraClass("SO(1,5)")
     return AlgebraClass("SO(3,3)")
+
+
+#: Inertia (n_pos, n_neg) of Q = [[mu^2, kappa], [kappa, lambda^2]] by class
+_Q_INERTIA = {"SO(2,4)": (1, 1), "SO(1,5)": (2, 0), "SO(3,3)": (0, 2)}
+
+
+def killing_inertia(params, K):
+    """Inertia of the float Killing form K at params, in closed form from
+    the point's class.
+
+    K = 8 (G_F + Q (x) g + (-det Q)) with G_F of inertia (3, 3, 0) and
+    g = diag(1, -1, -1, -1), so K's inertia is (3, 3, 0) + inertia(Q) (x)
+    (1, 3) + sign(-det Q).  On the surface Q has rank at most 1, and its
+    nonzero eigenvalue carries the common sign of mu^2 and lambda^2.
+
+    K's eigenvalues are a one-sided check: those resolved beyond
+    15 eps max(max|w|, 8 max(|lambda^2 mu^2|, kappa^2)), which covers
+    eigvalsh's error and the rounding of K's I-I entry
+    8 (kappa^2 - lambda^2 mu^2), must not outnumber the closed form's
+    positive or negative counts.
+    """
+    k, l2, m2 = params.kappa, params.lambda_sq, params.mu_sq
+    cls = classify(params)
+    if cls.degenerate:
+        q_pos, q_neg = int(m2 > 0 or l2 > 0), int(m2 < 0 or l2 < 0)
+    else:
+        q_pos, q_neg = _Q_INERTIA[cls.tag]
+    pos = 3 + q_pos + 3 * q_neg + (cls.tag == "SO(2,4)")
+    neg = 3 + 3 * q_pos + q_neg + (cls.tag in ("SO(1,5)", "SO(3,3)"))
+    w = linalg.finite_eigvalsh(K)  # ascending
+    bound = 15 * EPS * max(-w[0], w[-1], 8 * max(abs(l2 * m2), k * k))
+    if len(w) - w.searchsorted(bound, "right") > pos or w.searchsorted(-bound) > neg:
+        raise InternalConsistencyError(
+            "Killing eigenvalues %r contradict the inertia (%d, %d, %d) at kappa=%r, "
+            "lambda2=%r, mu2=%r" % (w.tolist(), pos, neg, DIM - pos - neg, k, l2, m2))
+    return Inertia(pos, neg, DIM - pos - neg)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +279,8 @@ class Embedding:
 
     ``basis_map`` rows give J_AB (in SO6_PAIRS order) as combinations of
     the 15 algebra generators; ``six_metric`` is the diagonal 6-metric.
-    ``deviation`` is the self-check residual found at construction.
+    ``deviation`` is the self-check residual found at construction and
+    ``algebra_class`` the class of the input point it was checked against.
     """
 
     six_metric: tuple
@@ -164,6 +289,7 @@ class Embedding:
     params: ParameterSet
     exact: bool
     deviation: object = field(init=False, default=None)
+    algebra_class: AlgebraClass = field(init=False, default=None)
 
 
 def _diagonalize_gram(params, exact):
@@ -180,6 +306,12 @@ def _diagonalize_gram(params, exact):
                 return None
             return (Fraction(col[0]) / root, Fraction(col[1]) / root), sigma
         root = math.sqrt(abs(float(quad)))
+        if not root:
+            # det Q / mu^2 (or / lambda^2) underflowed: the point is semisimple
+            # only below the smallest float
+            raise UnsupportedDomainError(
+                "embedding normaliser underflows floats at kappa=%r, lambda2=%r, mu2=%r"
+                % (params.kappa, params.lambda_sq, params.mu_sq))
         return (float(col[0]) / root, float(col[1]) / root), sigma
 
     def div(a, b):
@@ -202,15 +334,37 @@ def _diagonalize_gram(params, exact):
     return cols, sigmas
 
 
+#: A float embedding's deviation from the canonical constants is at most
+#: about this many times the relative rounding error of det Q (see
+#: _det_q_rounding): the normaliser divides by det Q, so near the surface
+#: the deviation grows like eps over |det Q| relative to the point's scale.
+#: 40000 seeded points at magnitudes 1e-300..1e300, down to 1e-17 of the
+#: surface, came within 6 times it.
+EMBED_ROUNDING = 16
+
+
+def _det_q_rounding(params):
+    """Relative error of det Q = lambda^2 mu^2 - kappa^2 taken in floats at
+    a semisimple point: one rounding of the products at the point's scale,
+    or one subnormal step where the products underflow."""
+    k, l2, m2 = (Fraction(v) for v in (params.kappa, params.lambda_sq, params.mu_sq))
+    scale = max(abs(l2 * m2), k * k)
+    return (scale * Fraction(EPS) + Fraction(math.ulp(0.0))) / abs(l2 * m2 - k * k)
+
+
 def pseudo_orthogonal_embedding(params, tol=1e-9):
     """Basis change onto canonical so(eta) generators; semisimple points only.
 
     Verified at construction: the transformed structure constants must match
     the canonical ones entrywise (exactly in exact mode, else within tol).
+    A float embedding that misses tol where the rounding of det Q (see
+    EMBED_ROUNDING) could exceed it is refused as outside the float
+    domain, not reported as a defect.
     """
-    cls = classify(params, tol=tol)
+    cls = classify(params)
     if cls.degenerate:
         raise InvalidInputError("embedding requires a semisimple point (det Q != 0)")
+    point = params  # as given: the float fallback below replaces params
     exact = params.exact
     res = _diagonalize_gram(params, exact)
     if res is None:
@@ -246,9 +400,14 @@ def pseudo_orthogonal_embedding(params, tol=1e-9):
             basis_map[r][ID] = -det_s
 
     emb = Embedding(six_metric, basis_map, ((a4, a5), (b4, b5)), params, exact)
+    emb.algebra_class = cls
     emb.deviation = dev = embedding_deviation(emb)
     limit = 0 if exact else tol
     if not (dev <= limit):
+        if not exact and EMBED_ROUNDING * _det_q_rounding(point) > tol:
+            raise UnsupportedDomainError(
+                "the float embedding is too ill-conditioned at kappa=%s, lambda2=%s, mu2=%s "
+                "for tol=%r (deviation %r)" % (point.kappa, point.lambda_sq, point.mu_sq, tol, dev))
         raise InternalConsistencyError(
             "embedding does not reproduce canonical constants (deviation %r)" % dev
         )

@@ -16,9 +16,10 @@ from . import casimir, pheno, spinor
 from .classify import (
     adjoint_representation,
     classify as classify_point,
-    inertia as form_inertia,
     killing_det,
+    killing_det_inertia,
     killing_form,
+    killing_inertia,
     pseudo_orthogonal_embedding,
     semisimplicity_indicator,
 )
@@ -33,6 +34,7 @@ from .core import (
     jacobi_residual,
     structure_constants,
 )
+from .linalg import det_inertia
 
 SCAN_COLUMNS = (
     "kappa",
@@ -185,17 +187,32 @@ def _params_from_args(args):
     return ParameterSet(kappa, lambda2, mu2)
 
 
-def _point_record(params, tol):
-    t = structure_constants(params)
-    K = killing_form(t)
-    sig = form_inertia(K, tol=tol)
+def _killing_invariants(params, K):
+    """det and inertia of the Killing form K at params: exact for exact
+    points; for floats det from numpy and the inertia in closed form,
+    checked against K's eigenvalues."""
+    if params.exact:
+        return det_inertia(K)
+    return killing_det(K), killing_inertia(params, K)
+
+
+def _point_record(params):
+    """Class, indicator, det K and the inertia of K at one point.
+
+    Exact points read det and inertia off the Killing polynomial; float
+    points contract K from the structure constants.
+    """
+    if params.exact:
+        det, sig = killing_det_inertia(params)
+    else:
+        det, sig = _killing_invariants(params, killing_form(structure_constants(params)))
     return {
-        "class": str(classify_point(params, tol=tol)),
+        "class": str(classify_point(params)),
         "indicator": semisimplicity_indicator(params),
         "kappa": params.kappa,
         "lambda_sq": params.lambda_sq,
         "mu_sq": params.mu_sq,
-        "det_killing": killing_det(K),
+        "det_killing": det,
         "sig_pos": sig.n_pos,
         "sig_neg": sig.n_neg,
         "sig_zero": sig.n_zero,
@@ -257,19 +274,22 @@ def _cmd_jacobi(args):
 
 
 def _cmd_classify(args):
-    return _point_record(_params_from_args(args), args.tol)
+    return _point_record(_params_from_args(args))
 
 
 def _cmd_killing(args):
-    rec = _point_record(_params_from_args(args), args.tol)
-    return {c: rec[c] for c in ("det_killing", "sig_pos", "sig_neg", "sig_zero")}
+    # K contracted from the structure constants at exact points too: the
+    # generic route to what classify and scan read off the Killing polynomial
+    params = _params_from_args(args)
+    det, sig = _killing_invariants(params, killing_form(structure_constants(params)))
+    return {"det_killing": det, "sig_pos": sig.n_pos, "sig_neg": sig.n_neg,
+            "sig_zero": sig.n_zero}
 
 
 def _cmd_embed(args):
-    params = _params_from_args(args)
-    emb = pseudo_orthogonal_embedding(params, tol=args.tol)
+    emb = pseudo_orthogonal_embedding(_params_from_args(args), tol=args.tol)
     return {
-        "class": str(classify_point(params, tol=args.tol)),
+        "class": str(emb.algebra_class),
         "six_metric": ",".join(_fmt(e) for e in emb.six_metric),
         "deviation": emb.deviation,
         "s00": emb.s_matrix[0][0],
@@ -351,7 +371,7 @@ def _cmd_mass(args):
 def _cmd_scan(args):
     grids = [_parse_grid(g, args.exact) for g in (args.kappa, args.lambda2, args.mu2)]
     return [{c: rec[c] for c in SCAN_COLUMNS}
-            for rec in (_point_record(ParameterSet(*p), args.tol) for p in product(*grids))]
+            for rec in (_point_record(ParameterSet(*p)) for p in product(*grids))]
 
 
 _COMMANDS = {

@@ -11,6 +11,8 @@ import numpy as np
 
 from .core import UnsupportedDomainError
 
+EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class Inertia:
@@ -24,9 +26,9 @@ class Inertia:
         return (self.n_pos, self.n_neg, self.n_zero)
 
 
-def _blocks(mat):
-    """Diagonal blocks of mat, entries as given, one per connected component
-    of the graph that joins i and j when mat[i][j] or mat[j][i] is nonzero."""
+def _components(mat):
+    """Index lists, sorted, of the connected components of the graph that
+    joins i and j when mat[i][j] or mat[j][i] is nonzero."""
     n = len(mat)
     adj = [set() for _ in range(n)]
     for i, row in enumerate(mat):
@@ -34,19 +36,25 @@ def _blocks(mat):
             if v:
                 adj[i].add(j)
                 adj[j].add(i)
-    seen, blocks = set(), []
+    seen, comps = set(), []
     for s in range(n):
         if s in seen:
             continue
         seen.add(s)
-        block = [s]
-        for i in block:
+        comp = [s]
+        for i in comp:
             new = adj[i] - seen
             seen |= new
-            block += new
-        block.sort()
-        blocks.append([[mat[i][j] for j in block] for i in block])
-    return blocks
+            comp += new
+        comp.sort()
+        comps.append(comp)
+    return comps
+
+
+def _blocks(mat):
+    """Diagonal blocks of mat, entries as given, one per component (see
+    _components)."""
+    return [[[mat[i][j] for j in c] for i in c] for c in _components(mat)]
 
 
 def _charpoly(m):
@@ -71,56 +79,78 @@ def _charpoly(m):
     return c, d
 
 
-def det_exact(mat):
-    """Exact determinant of a square matrix of ints, Fractions or floats.
+def det_inertia_blocks(blocks):
+    """Determinant and inertia of a block-diagonal matrix from one _charpoly
+    pass per diagonal block; a symmetric permutation leaves both unchanged.
 
-    Each diagonal block (see _blocks) contributes (-1)^n c[0] / d^n (see
-    _charpoly); a symmetric permutation leaves det unchanged (det P^2 = 1).
+    Each block contributes (-1)^n c[0] / d^n to det.  A symmetric block has
+    real eigenvalues only, so Descartes' rule of signs on its characteristic
+    polynomial (d > 0 keeps every sign) is exact: n_pos is the number of
+    sign changes among the nonzero coefficients and n_zero the index of the
+    first nonzero one.  The inertia is meaningless for a non-symmetric block.
     """
     num = den = 1
-    for block in _blocks(mat):
+    size = pos = zero = 0
+    for block in blocks:
         c, d = _charpoly(block)
-        num *= (-1) ** len(block) * c[0]
-        den *= d ** len(block)
-    return Fraction(num, den)
-
-
-def inertia_exact(mat):
-    """Exact Sylvester inertia of a symmetric form, summed over its diagonal
-    blocks (see _blocks), which a symmetric permutation leaves unchanged.
-
-    A symmetric block has real eigenvalues only, so Descartes' rule of signs
-    on its characteristic polynomial (see _charpoly; d > 0 keeps every sign)
-    is exact: n_pos is the number of sign changes among the nonzero
-    coefficients and n_zero the index of the first nonzero one.
-    """
-    pos = zero = 0
-    for block in _blocks(mat):
-        c, _ = _charpoly(block)
+        n = len(block)
+        size += n
+        num *= (-1) ** n * c[0]
+        den *= d ** n
         signs = [v > 0 for v in c if v]
         pos += sum(s != t for s, t in zip(signs, signs[1:]))
         zero += next(k for k, v in enumerate(c) if v)
-    return Inertia(pos, len(mat) - pos - zero, zero)
+    return Fraction(num, den), Inertia(pos, size - pos - zero, zero)
 
 
-def inertia_float(mat, tol=1e-9):
-    """Inertia via eigenvalues with tolerance-thresholded zeros.
+def det_inertia(mat):
+    """Exact determinant and inertia of a symmetric matrix of ints,
+    Fractions or floats, from one _charpoly pass per diagonal block."""
+    return det_inertia_blocks(_blocks(mat))
 
-    A form with an inf or nan entry (a float overflow) has no inertia in
-    float mode: it is refused rather than read as all zeros.
+
+def det_exact(mat):
+    """Exact determinant of a square matrix of ints, Fractions or floats."""
+    return det_inertia(mat)[0]
+
+
+def inertia_exact(mat):
+    """Exact Sylvester inertia of a symmetric form."""
+    return det_inertia(mat)[1]
+
+
+def finite_eigvalsh(mat):
+    """Eigenvalues of a symmetric float form, ascending.
+
+    A form with an inf or nan entry (a float overflow) is refused rather
+    than read as all zeros: its inertia is undefined in float mode.
     """
     a = np.asarray(mat, dtype=float)
     w = np.linalg.eigvalsh(a) if np.isfinite(a).all() else None
     if w is None or not np.isfinite(w).all():
         raise UnsupportedDomainError("the form is not finite (float overflow); "
                                      "its inertia is undefined")
+    return w
+
+
+def inertia_float(mat, tol=None):
+    """Inertia via eigenvalues (see finite_eigvalsh); those within tol of 0
+    count as zero.
+
+    The default tol is relative, n eps max|w| as in numpy's matrix_rank,
+    so the answer does not change when the form is rescaled.
+    """
+    w = finite_eigvalsh(mat)
+    if tol is None:
+        tol = len(w) * EPS * np.abs(w).max(initial=0.0)
     pos = int(np.sum(w > tol))
     neg = int(np.sum(w < -tol))
     return Inertia(pos, neg, len(w) - pos - neg)
 
 
-def inertia(mat, tol=1e-9):
-    """Sylvester inertia: eigenvalues for an ndarray, exact otherwise."""
+def inertia(mat, tol=None):
+    """Sylvester inertia: eigenvalues for an ndarray (see inertia_float),
+    exact otherwise."""
     if isinstance(mat, np.ndarray):
         return inertia_float(mat, tol)
     return inertia_exact(mat)

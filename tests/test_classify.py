@@ -1,5 +1,6 @@
 """Tests for the Killing form, inertia, classification and embedding."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as Fr
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 from phasealg import linalg
+from phasealg import classify as classify_module
 from phasealg.classify import (
+    DEGENERATE_BITS,
     adjoint_representation,
     canonical_inertia,
     classify,
@@ -17,6 +20,7 @@ from phasealg.classify import (
     inverse_basis_map,
     killing_det,
     killing_form,
+    killing_inertia,
     pseudo_orthogonal_embedding,
     semisimplicity_indicator,
     so6_index,
@@ -26,6 +30,7 @@ from phasealg.core import (
     DIM,
     F,
     ID,
+    InternalConsistencyError,
     InvalidInputError,
     P,
     ParameterSet,
@@ -37,6 +42,7 @@ from phasealg.core import (
 )
 
 CLASS_INERTIA = {"SO(2,4)": (8, 7, 0), "SO(1,5)": (5, 10, 0), "SO(3,3)": (9, 6, 0)}
+CLASS_INERTIA_OF = {tag: linalg.Inertia(*sig) for tag, sig in CLASS_INERTIA.items()}
 
 
 def ps(k, l2, m2):
@@ -281,6 +287,44 @@ class TestInertia:
         ident = [[Fr(int(i == j)) for j in range(15)] for i in range(15)]
         assert linalg.inertia_exact(ident).as_tuple() == (15, 0, 0)
 
+    def test_float_default_bound_is_relative(self):
+        # |det Q| = 1e-10 puts 8e-10 on K's I-I entry: resolved relative to
+        # K's scale, so inertia and classify agree, at every power-of-two scale
+        p = ParameterSet(1e-5, 2e-5, 1e-5)
+        K = killing_form(structure_constants(p))
+        assert classify(p).tag == "SO(1,5)"
+        for e in (-900, -40, 0, 40, 900):
+            assert inertia(K * 2.0 ** e) == CLASS_INERTIA_OF["SO(1,5)"]
+        # an explicit tol stays an absolute bound
+        assert inertia(K, tol=1e-9).as_tuple() == (5, 9, 1)
+
+    def test_float_default_bound_absorbs_eigvalsh_rounding(self):
+        """B^T diag(d) B with B invertible has the inertia of d (Sylvester).
+        On these exactly singular integer forms eigvalsh leaves up to a few
+        eps max|w| on the zero eigenvalues, which the bound's factor n covers."""
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            n = int(rng.integers(2, 16))
+            B = rng.integers(-5, 6, (n, n))
+            d = rng.integers(-3, 4, n)
+            if np.linalg.matrix_rank(B) < n:
+                continue
+            want = (int((d > 0).sum()), int((d < 0).sum()), int((d == 0).sum()))
+            assert inertia(((B.T * d) @ B).astype(float)).as_tuple() == want
+
+    def test_float_default_agrees_with_closed_form_off_the_surface(self):
+        rng = random.Random(17)
+        checked = 0
+        while checked < 100:
+            e = rng.randint(-8, 8)
+            v = [rng.uniform(-1, 1) * 2.0 ** (e + rng.randint(-2, 2)) for _ in range(3)]
+            if abs(v[1] * v[2] - v[0] ** 2) < 1e-3 * max(abs(v[1] * v[2]), v[0] ** 2):
+                continue
+            checked += 1
+            p = ParameterSet(*v)
+            K = killing_form(structure_constants(p))
+            assert inertia(K) == killing_inertia(p, K) == CLASS_INERTIA_OF[classify(p).tag]
+
     def test_float_matches_exact(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -294,6 +338,74 @@ class TestInertia:
             exact = linalg.inertia_exact(K)
             if exact.n_zero == 0:
                 assert linalg.inertia_float(Kf, tol=1e-6).as_tuple() == exact.as_tuple()
+
+
+class TestFloatKillingInertia:
+    """The closed-form float inertia and its one-sided eigenvalue check."""
+
+    DYADIC = [Fr(j, 4) for j in range(-8, 9)]
+
+    def test_closed_form_matches_exact_inertia_on_dyadic_points(self):
+        """Dyadic points are exact in floats, so det Q is too; on and off the
+        surface the closed form must give the exact inertia of K."""
+        rng = random.Random(13)
+        points = [(0, 0, 0), (1, 1, 1), (1, -1, -1), (0, 0, 1), (0, -2, 0), (2, 0, 0)]
+        points += [tuple(rng.choice(self.DYADIC) for _ in range(3)) for _ in range(150)]
+        points += [(k, k * k / m, m) for k, m in
+                   ((rng.choice(self.DYADIC), Fr(rng.choice((1, 2, 4, -1, -2, -4)), 2))
+                    for _ in range(50))]
+        for p in points:
+            want = linalg.inertia_exact(killing_form(structure_constants(ParameterSet(*p))))
+            pf = ParameterSet(*(float(v) for v in p))
+            got = killing_inertia(pf, killing_form(structure_constants(pf)))
+            assert got == want, p
+            assert classify(pf) == classify(ParameterSet(*p)), p
+
+    def test_band_is_relative(self):
+        # 1e-5 scale: |det Q| = 1e-10 is far from the surface, relative to 2e-10
+        assert classify(ParameterSet(1e-5, 2e-5, 1e-5)).tag == "SO(1,5)"
+        # the same relative distance at every power-of-two scale, products
+        # past the float range included
+        band = math.ldexp(1.0, -DEGENERATE_BITS)
+        for e in (-1000, -600, -100, 0, 100, 600, 1000):
+            k = math.ldexp(1.0, e)
+            on = ParameterSet(k * (1 + band / 4), k, k)
+            off = ParameterSet(k * (1 + 64 * band), k, k)
+            assert classify(on).degenerate
+            assert classify(off).tag == "SO(2,4)"
+        # kappa^2 alone decides, however far below lambda^2 the point lies
+        assert classify(ParameterSet(-1.0, 9e209, -0.0)).tag == "SO(2,4)"
+        assert classify(ParameterSet(1e-200, 0.0, 1.0)).tag == "SO(2,4)"
+        assert classify(ParameterSet(0.0, 1e-200, 1e-200)).tag == "SO(1,5)"
+
+    def test_overflowed_form_is_refused(self):
+        p = ParameterSet(1e155, 1e155, 1.0)
+        with pytest.raises(UnsupportedDomainError):
+            killing_inertia(p, killing_form(structure_constants(p)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flipped_sign_in_killing_form_trips_the_check(self, seed):
+        """Off the surface and at moderate magnitude every eigenvalue of K is
+        resolved, so a sign flipped on its I-I entry (the -8 det Q block), or
+        on an F entry at a degenerate point, outnumbers the closed form."""
+        rng = random.Random(seed)
+        for _ in range(40):
+            e = rng.randint(-8, 8)
+            v = [rng.uniform(-1, 1) * 2.0 ** (e + rng.randint(-2, 2)) for _ in range(3)]
+            p = ParameterSet(*v)
+            if abs(v[1] * v[2] - v[0] ** 2) < 1e-3 * max(abs(v[1] * v[2]), v[0] ** 2):
+                continue
+            K = killing_form(structure_constants(p))
+            assert killing_inertia(p, K) == CLASS_INERTIA_OF[classify(p).tag]
+            K[ID, ID] = -K[ID, ID]
+            with pytest.raises(InternalConsistencyError):
+                killing_inertia(p, K)
+        for v in ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (-0.5, -2.0, -0.125), (0.0, 0.0, 3.0)):
+            p = ParameterSet(*v)
+            K = killing_form(structure_constants(p))
+            K[F(1, 2), F(1, 2)] = -K[F(1, 2), F(1, 2)]
+            with pytest.raises(InternalConsistencyError):
+                killing_inertia(p, K)
 
 
 class TestIndicatorAndClassify:
@@ -452,6 +564,41 @@ class TestEmbedding:
         assert exact.deviation == embedding_deviation(exact) == 0
         flt = pseudo_orthogonal_embedding(FLOAT_EMBED_POINT)
         assert flt.deviation == embedding_deviation(flt)
+
+    def test_embedding_carries_the_class_it_was_checked_against(self, monkeypatch):
+        calls = []
+        real = classify_module.classify
+        monkeypatch.setattr(classify_module, "classify", lambda p: calls.append(p) or real(p))
+        for p in (EXACT_EMBED_POINT, FLOAT_EMBED_POINT, ps(0, Fr(1, 100000), Fr(1, 100000))):
+            calls.clear()
+            emb = pseudo_orthogonal_embedding(p)
+            assert calls == [p]
+            assert emb.algebra_class == real(p)
+        assert not emb.exact  # irrational normaliser: float fallback, exact class
+
+    @pytest.mark.parametrize("point", [
+        (0.007235151356978233, 1.0, 5.234741515838386e-05),  # 2e-15 of the surface
+        (0.999999999, 1.0, 1.0),
+        (1.2696093313976675e141, 3.19324214185191e281, 5.0478722964532485),
+        (-7.709245913274541e-274, 6.298804309243059e-196, 1.459728154270369e-122),  # subnormal
+    ])
+    def test_ill_conditioned_float_embedding_is_a_domain_limit(self, point):
+        """Where det Q's rounding allows a deviation above tol, a float
+        embedding that misses tol is refused, not reported as a defect; a
+        looser tol takes it."""
+        p = ParameterSet(*point)
+        assert not classify(p).degenerate
+        with pytest.raises(UnsupportedDomainError):
+            pseudo_orthogonal_embedding(p)
+        emb = pseudo_orthogonal_embedding(p, tol=0.5)
+        assert 1e-9 < emb.deviation <= 0.5
+
+    def test_deviation_at_a_well_conditioned_point_stays_a_defect(self, monkeypatch):
+        monkeypatch.setattr(classify_module, "embedding_deviation", lambda emb: 1e-6)
+        with pytest.raises(InternalConsistencyError):
+            pseudo_orthogonal_embedding(FLOAT_EMBED_POINT)
+        with pytest.raises(UnsupportedDomainError):
+            pseudo_orthogonal_embedding(ParameterSet(0.999999999, 1.0, 1.0))
 
     def test_inverse_basis_map_is_exact_inverse(self):
         emb = pseudo_orthogonal_embedding(EXACT_EMBED_POINT)
